@@ -8,9 +8,9 @@ significant), and the index -> graph mapping is a pure function, so index
 ranges partition cleanly across workers.
 
 The hot loop asks one question per graph, "is there a satisfactory
-vertex?", and answers it for whole index ranges at once with vectorized
-batch adjacency math; only the (expected zero) graphs with no such vertex
-are materialized and pushed through the full condition filter.
+vertex?", for whole index ranges at once on packed uint8 out-rows (so n <= 8)
+decoded from lookup tables; only the (expected zero) graphs with no such
+vertex are materialized and pushed through the full condition filter.
 
 Randomness is implementation-pinned: PCG64 seeded through SeedSequence,
 with the sample at position i drawing from entropy (seed, i), so serial
@@ -18,6 +18,7 @@ and parallel runs agree sample by sample.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import time
@@ -49,6 +50,9 @@ RANDOM_MODELS = ("tournament", "digon_free", "acyclic", "triangle_free")
 
 _EXHAUSTIVE_CHUNK = 3**10
 _RANDOM_CHUNK = 128
+_ROW_WIDTH = 8  # vertices a uint8 out-row can hold
+_GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 SeedLike = int | tuple[int, ...]
 
@@ -66,32 +70,59 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
+@functools.cache
+def _row_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Out-row tables for groups of <= 5 pair digits cut from the least
+    significant end, listed most significant first: (3^g, n) uint8 each."""
+    pairs, tables = _pairs(n), []
+    for stop in range(len(pairs), 0, -_GROUP_DIGITS):
+        table = np.zeros((1, n), dtype=np.uint8)
+        for u, v in pairs[max(0, stop - _GROUP_DIGITS) : stop]:
+            digit = np.zeros((3, n), dtype=np.uint8)  # absent, u -> v, v -> u
+            digit[1, u], digit[2, v] = 1 << v, 1 << u
+            table = (table[:, None] | digit).reshape(-1, n)
+        table.flags.writeable = False  # shared by every caller of the cache
+        tables.insert(0, table)
+    return tuple(tables)
+
+
+def _rows_at(n: int, index: int | np.ndarray) -> np.ndarray:
+    """uint8 out-rows (bit v of row u: u -> v) at an int or int64-array index."""
+    idx = np.asarray(index, dtype=np.int64)
+    rows = np.zeros(idx.shape + (n,), dtype=np.uint8)
+    for table in reversed(_row_tables(n)):
+        idx, code = np.divmod(idx, 3**_GROUP_DIGITS)
+        rows |= table.take(code, axis=0)  # about twice as fast as table[code]
+    return rows
+
+
+def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
+    """Per graph of an (N, n) loop-free row batch, digons allowed: True iff
+    no vertex has |N1| <= |N2|.  Must agree with Digraph.profile."""
+    n = rows.shape[1]
+    cols = rows.T.copy()  # (n, N): each vertex's rows contiguous, for speed
+    reach2 = np.zeros_like(cols)
+    for w in range(n):  # every u with u -> w reaches w's out-row
+        reach2 |= cols[w] & -((cols >> w) & 1)
+    not_self = ~(np.uint8(1) << np.arange(n, dtype=np.uint8))[:, None]
+    return ~(_POPCOUNT[cols] <= _POPCOUNT[reach2 & ~cols & not_self]).any(axis=0)
+
+
 def graph_at_index(n: int, index: int) -> Digraph:
     """Decode one enumeration index into its digraph (pure function)."""
     if n < 1:
         raise EmptyVertexSet()
+    if n > _ROW_WIDTH:
+        raise CeilingExceeded(n, _ROW_WIDTH)
     total = space_size(n)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside [0, {total})")
-    states = []
-    rem = index
-    for _ in range(pair_count(n)):
-        rem, s = divmod(rem, 3)
-        states.append(s)
-    states.reverse()
-    edges = []
-    for (u, v), state in zip(_pairs(n), states):
-        if state == 1:
-            edges.append((u, v))
-        elif state == 2:
-            edges.append((v, u))
-    return Digraph(n, edges)
+    rows = _rows_at(n, index).tolist()
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1])
 
 
 def enumerate_digon_free(n: int, ceiling: int = DEFAULT_CEILING) -> Iterator[Digraph]:
     """Yield every labeled digon-free digraph on n vertices in index order."""
-    if n < 1:
-        raise EmptyVertexSet()
     if n > ceiling:
         raise CeilingExceeded(n, ceiling)
     for index in range(space_size(n)):
@@ -199,8 +230,9 @@ class SearchSpec:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.mode == "exhaustive":
-            if self.n > self.ceiling:
-                raise CeilingExceeded(self.n, self.ceiling)
+            limit = min(self.ceiling, _ROW_WIDTH)
+            if self.n > limit:
+                raise CeilingExceeded(self.n, limit)
         elif self.mode == "random":
             if self.model not in RANDOM_MODELS:
                 raise ValueError(f"unknown random model {self.model!r}")
@@ -282,46 +314,14 @@ def _record_counterexample(
         result.survivors.append(SurvivorRecord(index, write_digraph(g), report))
 
 
-def _counterexample_mask(n: int, start: int, stop: int) -> np.ndarray:
-    """True at offset i iff the graph at index start+i has no satisfactory vertex.
-
-    Builds the whole index range as a stacked boolean adjacency batch and
-    measures |N1| and |N2| per vertex with two-step reachability.  Must
-    agree with Digraph.profile on every graph; tests enforce that.
-    """
-    pairs = _pairs(n)
-    P = len(pairs)
-    weights = np.array([3 ** (P - 1 - j) for j in range(P)], dtype=np.int64)
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = (idx[:, None] // weights) % 3 if P else np.zeros((len(idx), 0), np.int64)
-    adj = np.zeros((len(idx), n, n), dtype=bool)
-    for j, (u, v) in enumerate(pairs):
-        col = digits[:, j]
-        adj[:, u, v] = col == 1
-        adj[:, v, u] = col == 2
-    reach2 = np.zeros_like(adj)
-    for mid in range(n):
-        reach2 |= adj[:, :, mid, None] & adj[:, None, mid, :]
-    second = reach2 & ~adj & ~np.eye(n, dtype=bool)
-    n1 = adj.sum(axis=2)
-    n2 = second.sum(axis=2)
-    return ~(n1 <= n2).any(axis=1)
-
-
 def _exhaustive_chunk(spec: SearchSpec, start: int, stop: int) -> _ChunkResult:
     result = _ChunkResult(examined=stop - start)
-    if space_size(spec.n) < 2**62:
-        mask = _counterexample_mask(spec.n, start, stop)
-        candidates = (np.nonzero(mask)[0] + start).tolist()
-    else:  # beyond int64 indexing; same semantics, object path
-        candidates = []
-        for index in range(start, stop):
-            if graph_at_index(spec.n, index).first_satisfactory_vertex() is None:
-                candidates.append(index)
+    rows = _rows_at(spec.n, np.arange(start, stop, dtype=np.int64))
+    candidates = (np.nonzero(_no_satisfactory_vertex(rows))[0] + start).tolist()
     result.rejections[0] += result.examined - len(candidates)
     for index in candidates:
-        g = graph_at_index(spec.n, int(index))
-        _record_counterexample(g, int(index), spec.filter_enabled, result)
+        g = graph_at_index(spec.n, index)
+        _record_counterexample(g, index, spec.filter_enabled, result)
     return result
 
 
@@ -381,7 +381,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
     if spec.workers == 1 or len(tasks) <= 1:
         parts: Sequence[_ChunkResult] = [_search_chunk(t) for t in tasks]
     else:
-        with multiprocessing.Pool(spec.workers) as pool:
+        with multiprocessing.Pool(min(spec.workers, len(tasks))) as pool:
             parts = pool.map(_search_chunk, tasks)
     total = _ChunkResult()
     for part in parts:

@@ -140,17 +140,31 @@ def avoiding_reach(n, edges, e):
     return targets & reached, targets - reached
 
 
+def _edges_from_states(pairs, states):
+    edges = []
+    for (u, v), s in zip(pairs, states):
+        if s == 1:
+            edges.append((u, v))
+        elif s == 2:
+            edges.append((v, u))
+    return edges
+
+
 def all_digon_free_edge_lists(n):
     """Every labeled digon-free digraph on n vertices, lexicographic order."""
     pairs = list(itertools.combinations(range(n), 2))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        edges = []
-        for (u, v), s in zip(pairs, states):
-            if s == 1:
-                edges.append((u, v))
-            elif s == 2:
-                edges.append((v, u))
-        yield edges
+        yield _edges_from_states(pairs, states)
+
+
+def digon_free_edges_at(n, index):
+    """The edge list at position index of all_digon_free_edge_lists(n)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    digits = []
+    for _ in pairs:
+        index, digit = divmod(index, 3)
+        digits.append(digit)
+    return _edges_from_states(pairs, reversed(digits))
 
 
 # -- the seven minimal-counterexample conditions, straight restatements -------

@@ -47,3 +47,13 @@ def strongly_connected_digraphs(draw, min_n=3, max_n=8):
         elif (u, v) == (0, n - 1):
             states[j] = 2  # n-1 -> 0 closes the cycle
     return Digraph(n, edges_from_states(n, states))
+
+
+@st.composite
+def loop_free_row_batches(draw, max_n=8, max_batch=16):
+    """Batches of packed out-rows (bit v of row u: u -> v), digons allowed."""
+    n = draw(st.integers(1, max_n))
+    rows = st.lists(st.integers(0, 255), min_size=n, max_size=n)
+    batch = draw(st.lists(rows, min_size=1, max_size=max_batch))
+    keep = [((1 << n) - 1) & ~(1 << u) for u in range(n)]
+    return [[bits & mask for bits, mask in zip(row, keep)] for row in batch]

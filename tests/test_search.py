@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from seymour import (
@@ -22,7 +23,25 @@ from seymour.errors import (
     InvalidProbability,
     RetriesExhausted,
 )
-from seymour.search import _counterexample_mask, pair_count
+from seymour import search
+from seymour.cli import main
+from seymour.search import (
+    _no_satisfactory_vertex,
+    _row_tables,
+    _rows_at,
+    pair_count,
+)
+from strategies import loop_free_row_batches
+
+
+def mask_at(n, start, stop):
+    """True at offset i iff the graph at index start+i has no satisfactory vertex."""
+    return _no_satisfactory_vertex(_rows_at(n, np.arange(start, stop, dtype=np.int64)))
+
+
+def edges_of_rows(rows):
+    n = len(rows)
+    return [(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1]
 
 
 def report_fingerprint(report):
@@ -81,17 +100,86 @@ class TestVectorizedConditionZero:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_object_path_exhaustively(self, n):
         total = space_size(n)
-        mask = _counterexample_mask(n, 0, total)
+        mask = mask_at(n, 0, total)
         for index in range(total):
             expected = graph_at_index(n, index).first_satisfactory_vertex() is None
             assert bool(mask[index]) == expected
 
     def test_matches_object_path_on_sampled_slice(self):
         start, stop = 31_000, 31_400
-        mask = _counterexample_mask(5, start, stop)
+        mask = mask_at(5, start, stop)
         for offset in range(stop - start):
             g = graph_at_index(5, start + offset)
             assert bool(mask[offset]) == (g.first_satisfactory_vertex() is None)
+
+
+class TestPackedRowKernel:
+    def test_table_layout(self):
+        # groups of five digits from the least significant end: 15 = 5+5+5
+        # pairs at n=6, 6 = 1+5 at n=4
+        assert [t.shape for t in _row_tables(6)] == [(243, 6)] * 3
+        assert [t.shape for t in _row_tables(4)] == [(3, 4), (243, 4)]
+        assert _rows_at(1, 0).tolist() == [0]
+
+    # real digon-free graphs this small always have a satisfactory vertex,
+    # so the positive branch is driven by batches that allow digons
+    def test_symmetric_triangle_is_a_counterexample(self):
+        rows = [0b110, 0b101, 0b011]
+        assert oracles.profile_sizes(3, edges_of_rows(rows)) == [(2, 0)] * 3
+        batch = np.array([rows], dtype=np.uint8)
+        assert _no_satisfactory_vertex(batch).tolist() == [True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(loop_free_row_batches(max_n=8))
+    def test_verdict_matches_oracle_on_loop_free_batches(self, batch):
+        verdict = _no_satisfactory_vertex(np.array(batch, dtype=np.uint8))
+        expected = [
+            not oracles.has_satisfactory_vertex(len(rows), edges_of_rows(rows))
+            for rows in batch
+        ]
+        assert verdict.tolist() == expected
+
+    def test_decode_and_mask_do_not_depend_on_the_split_point(self):
+        total = space_size(5)
+        whole_rows = _rows_at(5, np.arange(total, dtype=np.int64))
+        whole_mask = mask_at(5, 0, total)
+        for split in (1, 12_347, total - 1):
+            head = np.arange(split, dtype=np.int64)
+            tail = np.arange(split, total, dtype=np.int64)
+            rows = np.concatenate([_rows_at(5, head), _rows_at(5, tail)])
+            mask = np.concatenate([mask_at(5, 0, split), mask_at(5, split, total)])
+            assert np.array_equal(rows, whole_rows)
+            assert np.array_equal(mask, whole_mask)
+
+    @pytest.mark.parametrize("start", [3**5 * 1000 + 7, 5_000_001, 3**15 - 301])
+    def test_n6_slices_off_table_boundaries_match_object_path(self, start):
+        stop = start + 300
+        rows = _rows_at(6, np.arange(start, stop, dtype=np.int64)).tolist()
+        mask = mask_at(6, start, stop)
+        for offset, index in enumerate(range(start, stop)):
+            edges = sorted(oracles.digon_free_edges_at(6, index))
+            assert edges_of_rows(rows[offset]) == edges
+            g = graph_at_index(6, index)
+            assert list(g.edges) == edges
+            assert bool(mask[offset]) == (g.first_satisfactory_vertex() is None)
+
+    def test_width_limit_is_checked_before_any_work(self, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("work started past the width limit")
+
+        monkeypatch.setattr(search, "_chunk_tasks", forbidden)
+        monkeypatch.setattr(search, "_rows_at", forbidden)
+        with pytest.raises(CeilingExceeded) as exc:
+            run_search(SearchSpec(mode="exhaustive", n=9, ceiling=9))
+        assert exc.value.ceiling == 8
+        with pytest.raises(CeilingExceeded):
+            graph_at_index(9, 0)
+        with pytest.raises(CeilingExceeded):
+            next(enumerate_digon_free(9, ceiling=9))
+        argv = ["search", "--mode", "exhaustive", "--n", "9", "--ceiling", "9"]
+        assert main(argv) == 1
+        assert "ceiling 8" in capsys.readouterr().err
+        SearchSpec(mode="exhaustive", n=8, ceiling=8).validate()
 
 
 class TestRandomModels:
@@ -217,6 +305,27 @@ class TestRunSearch:
             )
         with pytest.raises(ValueError):
             run_search(SearchSpec(mode="silly", n=4))
+
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+        spec = SearchSpec(mode="random", n=5, model="tournament", count=300, workers=64)
+        assert run_search(spec).graphs_examined == 300
+        assert sizes == [3]  # 300 samples in chunks of 128
 
     def test_raised_ceiling_allows_larger_exhaustive(self):
         # a thin slice by monkeypatching is overkill; n=5 under a raised
