@@ -5,7 +5,7 @@ conditions a minimal counterexample to Seymour's Second Neighborhood
 Conjecture must satisfy, builds the counterexample-multiplying graph
 product, and searches small digraph spaces exhaustively or at random.
 """
-from .digraph import Digraph, NeighborhoodProfile, from_edges
+from .digraph import Digraph, NeighborhoodProfile
 from .errors import DigraphError
 from .filtering import (
     EVALUATION_ORDER,
@@ -53,7 +53,6 @@ from .version import __version__
 __all__ = [
     "Digraph",
     "NeighborhoodProfile",
-    "from_edges",
     "DigraphError",
     "EVALUATION_ORDER",
     "ConditionVerdict",

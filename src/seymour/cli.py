@@ -28,10 +28,7 @@ from .search import (
     DEFAULT_CEILING,
     RANDOM_MODELS,
     SearchSpec,
-    random_acyclic,
-    random_digon_free,
-    random_tournament,
-    random_triangle_free,
+    random_graph,
     run_search,
 )
 from .textio import parse_digraph, write_digraph
@@ -161,19 +158,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 2 if report.filter_survivors else 0
 
 
-def _make_generated(args: argparse.Namespace) -> Digraph:
-    p = args.p if args.p is not None else 0.5
-    if args.model == "tournament":
-        return random_tournament(args.n, args.seed)
-    if args.model == "digon_free":
-        return random_digon_free(args.n, p, args.seed)
-    if args.model == "acyclic":
-        return random_acyclic(args.n, p, args.seed)
-    return random_triangle_free(args.n, p, args.seed, args.max_retries)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    _write_text(args.output, write_digraph(_make_generated(args)))
+    g = random_graph(args.model, args.n, args.p, args.seed, args.max_retries)
+    _write_text(args.output, write_digraph(g))
     return 0
 
 
@@ -204,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--model", choices=RANDOM_MODELS)
     p_search.add_argument("--count", type=int)
     p_search.add_argument("--seed", type=int)
-    p_search.add_argument("--p", type=float)
+    p_search.add_argument("--p", type=float, help="edge probability (no default)")
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--no-filter", action="store_true")
     p_search.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
@@ -215,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--model", choices=RANDOM_MODELS, required=True)
     p_generate.add_argument("--n", type=int, required=True)
     p_generate.add_argument("--seed", type=int, required=True)
-    p_generate.add_argument("--p", type=float)
+    p_generate.add_argument(  # a one-off graph gets a default; a sweep must choose
+        "--p", type=float, default=0.5, help="edge probability, default 0.5 (search has none)"
+    )
     p_generate.add_argument("--max-retries", type=int, default=1000)
     p_generate.add_argument("-o", "--output", required=True)
     p_generate.set_defaults(func=_cmd_generate)

@@ -12,11 +12,20 @@ a large finite stand-in.
 
 All derivation operations (edge/vertex deletion, induced subgraphs) return
 new graphs; values are safe to share between concurrent workers.
+
+``Digraph(n, edges)`` is the one validating constructor, for user input and
+the parser.  ``Digraph._from_adjacency(adj)`` is the trusted one: it builds
+the same value from an (n, n) bool matrix with numpy and checks nothing.
+Only package code whose matrix is loop-free and digon-free by construction
+may call it: the derivations below, the random models, ``graph_at_index``
+and ``build_product``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     DigonPair,
@@ -39,6 +48,18 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask &= mask - 1
+
+
+def _row_masks(adj: np.ndarray) -> tuple[int, ...]:
+    """Row u of a bool matrix as an int with bit v set iff adj[u, v]."""
+    n = adj.shape[0]
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)  # whole 64-bit words
+    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+    words = packed.view("<u8").T.tolist()  # one list per 64-bit word column
+    masks = words.pop()
+    for low in reversed(words):  # only when n > 64
+        masks = [high << 64 | word for high, word in zip(masks, low)]
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -99,6 +120,24 @@ class Digraph:
         object.__setattr__(self, "_out", tuple(out_masks))
         object.__setattr__(self, "_in", tuple(in_masks))
 
+    @classmethod
+    def _from_adjacency(cls, adj: np.ndarray) -> Digraph:
+        """Unvalidated graph of a loop-free, digon-free (n, n) bool matrix."""
+        tails, heads = np.nonzero(adj)  # row-major, so edges come out sorted
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", adj.shape[0])
+        object.__setattr__(g, "edges", tuple(zip(tails.tolist(), heads.tolist())))
+        object.__setattr__(g, "_out", _row_masks(adj))
+        object.__setattr__(g, "_in", _row_masks(adj.T))
+        return g
+
+    def _adjacency(self) -> np.ndarray:
+        """A fresh (n, n) bool matrix, adj[u, v] iff (u, v) is an edge."""
+        width = -(-self.n // 8)
+        rows = b"".join(mask.to_bytes(width, "little") for mask in self._out)
+        packed = np.frombuffer(rows, dtype=np.uint8).reshape(self.n, width)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Digraph is immutable")
 
@@ -128,6 +167,12 @@ class Digraph:
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise VertexOutOfRange(u, self.n)
+
+    def _require_edge(self, edge: Edge) -> Edge:
+        u, v = edge
+        if not (0 <= u < self.n and 0 <= v < self.n) or not self._out[u] >> v & 1:
+            raise NoSuchEdge(u, v)
+        return u, v
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -242,30 +287,18 @@ class Digraph:
         for u in keep:
             self._check_vertex(u)
         relabel = {old: new for new, old in enumerate(keep)}
-        edges = [
-            (relabel[u], relabel[v])
-            for u, v in self.edges
-            if u in relabel and v in relabel
-        ]
-        return Digraph(len(keep), edges), relabel
+        return Digraph._from_adjacency(self._adjacency()[np.ix_(keep, keep)]), relabel
 
     def delete_edge(self, edge: Edge) -> Digraph:
         """Same vertex set, one edge fewer."""
-        u, v = edge
-        if not (0 <= u < self.n and 0 <= v < self.n) or not self._out[u] >> v & 1:
-            raise NoSuchEdge(u, v)
-        return Digraph(self.n, [e for e in self.edges if e != (u, v)])
+        u, v = self._require_edge(edge)
+        adj = self._adjacency()
+        adj[u, v] = False
+        return Digraph._from_adjacency(adj)
 
     def delete_vertex(self, u: int) -> tuple[Digraph, dict[int, int]]:
         """Drop u and all incident edges; survivors are relabeled densely."""
         self._check_vertex(u)
         if self.n < 2:
             raise WouldBeEmpty()
-        relabel = {old: (old if old < u else old - 1) for old in range(self.n) if old != u}
-        edges = [(relabel[a], relabel[b]) for a, b in self.edges if a != u and b != u]
-        return Digraph(self.n - 1, edges), relabel
-
-
-def from_edges(n: int, edges: Iterable[Edge]) -> Digraph:
-    """Build a validated Digraph from a vertex count and an edge list."""
-    return Digraph(n, edges)
+        return self.induced_subgraph(v for v in range(self.n) if v != u)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digraph import Digraph
 from .errors import VertexOutOfRange
 
@@ -75,20 +77,12 @@ def build_product(d_graph: Digraph, h_graph: Digraph) -> tuple[Digraph, ProductL
     digon-free: a digon inside a copy would need one in H, a digon between
     copies would need one in D.
     """
-    nh = h_graph.n
-    labeling = ProductLabeling(d_count=d_graph.n, h_count=nh)
-    edges = []
-    for d in range(d_graph.n):
-        base = d * nh
-        for h1, h2 in h_graph.edges:
-            edges.append((base + h1, base + h2))
-    for d1, d2 in d_graph.edges:
-        b1 = d1 * nh
-        b2 = d2 * nh
-        for h1 in range(nh):
-            for h2 in range(nh):
-                edges.append((b1 + h1, b2 + h2))
-    return Digraph(d_graph.n * nh, edges), labeling
+    nd, nh = d_graph.n, h_graph.n
+    # kron(A_D, J_h): a D-edge joins all of copy d1 to all of copy d2;
+    # kron(I_d, A_H): each copy holds H
+    adj = np.kron(d_graph._adjacency(), np.ones((nh, nh), dtype=bool))
+    adj |= np.kron(np.eye(nd, dtype=bool), h_graph._adjacency())
+    return Digraph._from_adjacency(adj), ProductLabeling(d_count=nd, h_count=nh)
 
 
 def predicted_profile(

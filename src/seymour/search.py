@@ -19,7 +19,6 @@ and parallel runs agree sample by sample.
 from __future__ import annotations
 
 import functools
-import itertools
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field
@@ -66,15 +65,20 @@ def space_size(n: int) -> int:
     return 3 ** pair_count(n)
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+@functools.cache
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the pairs u < v, in itertools.combinations order."""
+    tails, heads = np.triu_indices(n, 1)
+    tails.flags.writeable = heads.flags.writeable = False  # shared by the cache
+    return tails, heads
 
 
 @functools.cache
 def _row_tables(n: int) -> tuple[np.ndarray, ...]:
     """Out-row tables for groups of <= 5 pair digits cut from the least
     significant end, listed most significant first: (3^g, n) uint8 each."""
-    pairs, tables = _pairs(n), []
+    tails, heads = _pair_index(n)
+    pairs, tables = list(zip(tails.tolist(), heads.tolist())), []
     for stop in range(len(pairs), 0, -_GROUP_DIGITS):
         table = np.zeros((1, n), dtype=np.uint8)
         for u, v in pairs[max(0, stop - _GROUP_DIGITS) : stop]:
@@ -117,8 +121,8 @@ def graph_at_index(n: int, index: int) -> Digraph:
     total = space_size(n)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside [0, {total})")
-    rows = _rows_at(n, index).tolist()
-    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1])
+    adj = np.unpackbits(_rows_at(n, index)[:, None], axis=1, count=n, bitorder="little")
+    return Digraph._from_adjacency(adj.view(bool))
 
 
 def enumerate_digon_free(n: int, ceiling: int = DEFAULT_CEILING) -> Iterator[Digraph]:
@@ -136,32 +140,30 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
+def _check_probability(p: float | None) -> None:
+    if p is None or not 0.0 <= p <= 1.0:
         raise InvalidProbability(p)
+
+
+def _oriented(n: int, present: np.ndarray | bool, forward: np.ndarray) -> Digraph:
+    """Pair k of _pair_index(n), kept where present[k]: u -> v if forward[k]."""
+    tails, heads = _pair_index(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[tails, heads] = present & forward
+    adj[heads, tails] = present & ~forward
+    return Digraph._from_adjacency(adj)
 
 
 def random_tournament(n: int, seed: SeedLike) -> Digraph:
     """Every unordered pair gets exactly one orientation, coin-flipped."""
     if n < 1:
         raise EmptyVertexSet()
-    rng = _rng(seed)
-    pairs = _pairs(n)
-    flips = rng.random(len(pairs))
-    edges = [(u, v) if f < 0.5 else (v, u) for (u, v), f in zip(pairs, flips)]
-    return Digraph(n, edges)
+    return _oriented(n, True, _rng(seed).random(pair_count(n)) < 0.5)
 
 
 def _digon_free_draw(n: int, p: float, rng: np.random.Generator) -> Digraph:
-    pairs = _pairs(n)
-    present = rng.random(len(pairs)) < p
-    forward = rng.random(len(pairs)) < 0.5
-    edges = [
-        (u, v) if fwd else (v, u)
-        for (u, v), keep, fwd in zip(pairs, present, forward)
-        if keep
-    ]
-    return Digraph(n, edges)
+    present = rng.random(pair_count(n)) < p
+    return _oriented(n, present, rng.random(pair_count(n)) < 0.5)
 
 
 def random_digon_free(n: int, p: float, seed: SeedLike) -> Digraph:
@@ -179,14 +181,10 @@ def random_acyclic(n: int, p: float, seed: SeedLike) -> Digraph:
     _check_probability(p)
     rng = _rng(seed)
     order = np.argsort(rng.random(n), kind="stable")
-    pairs = _pairs(n)
-    present = rng.random(len(pairs)) < p
-    edges = [
-        (int(order[i]), int(order[j]))
-        for (i, j), keep in zip(pairs, present)
-        if keep
-    ]
-    return Digraph(n, edges)
+    tails, heads = _pair_index(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[order[tails], order[heads]] = rng.random(pair_count(n)) < p
+    return Digraph._from_adjacency(adj)
 
 
 def random_triangle_free(
@@ -204,6 +202,22 @@ def random_triangle_free(
         if not has_transitive_triangle(g):
             return g
     raise RetriesExhausted(max_retries)
+
+
+def random_graph(
+    model: str, n: int, p: float | None, seed: SeedLike, max_retries: int = 1000
+) -> Digraph:
+    """One graph of a model in RANDOM_MODELS (tournaments ignore p); models
+    are looked up as module globals per call, so wrappers on them see it."""
+    if model == "tournament":
+        return random_tournament(n, seed)
+    if model == "digon_free":
+        return random_digon_free(n, p, seed)
+    if model == "acyclic":
+        return random_acyclic(n, p, seed)
+    if model == "triangle_free":
+        return random_triangle_free(n, p, seed, max_retries)
+    raise ValueError(f"unknown random model {model!r}")
 
 
 # -- search specification and report ------------------------------------------
@@ -325,23 +339,11 @@ def _exhaustive_chunk(spec: SearchSpec, start: int, stop: int) -> _ChunkResult:
     return result
 
 
-def _sample_graph(spec: SearchSpec, index: int) -> Digraph:
-    entropy = (spec.seed, index)
-    if spec.model == "tournament":
-        return random_tournament(spec.n, entropy)
-    if spec.model == "digon_free":
-        return random_digon_free(spec.n, spec.p, entropy)
-    if spec.model == "acyclic":
-        return random_acyclic(spec.n, spec.p, entropy)
-    if spec.model == "triangle_free":
-        return random_triangle_free(spec.n, spec.p, entropy, spec.max_retries)
-    raise ValueError(f"unknown random model {spec.model!r}")
-
-
 def _random_chunk(spec: SearchSpec, start: int, stop: int) -> _ChunkResult:
     result = _ChunkResult(examined=stop - start)
     for index in range(start, stop):
-        g = _sample_graph(spec, index)
+        entropy = (spec.seed, index)
+        g = random_graph(spec.model, spec.n, spec.p, entropy, spec.max_retries)
         if g.first_satisfactory_vertex() is None:
             _record_counterexample(g, index, spec.filter_enabled, result)
         else:

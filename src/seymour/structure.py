@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .digraph import Digraph, Edge, _bits
-from .errors import NoSuchEdge
 
 #: Girth of the undirected shadow: an int >= 3, or math.inf when acyclic.
 GirthValue = float
@@ -33,23 +32,13 @@ class DiamondWitness:
     w: int
 
 
-def _closure(rows: tuple[int, ...], start: int) -> int:
-    """Bitset of everything reachable from start (start included)."""
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
-
-
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path."""
-    full = (1 << g.n) - 1
-    return _closure(g._out, 0) == full and _closure(g._in, 0) == full
+    # the BFS layers from 0 are disjoint and exclude 0: they cover V iff n - 1 vertices
+    return all(
+        sum(layer.bit_count() for layer in g._layers(0, rows)) == g.n - 1
+        for rows in (g._out, g._in)
+    )
 
 
 def has_directed_cycle(g: Digraph) -> bool:
@@ -98,16 +87,9 @@ def has_transitive_triangle(g: Digraph) -> bool:
     return any(g._out[u] & g._out[v] for u, v in g.edges)
 
 
-def _require_edge(g: Digraph, edge: Edge) -> Edge:
-    u, v = edge
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g._out[u] >> v & 1:
-        raise NoSuchEdge(u, v)
-    return u, v
-
-
 def triangle_base_count(g: Digraph, edge: Edge) -> int:
     """Number of transitive triangles having ``edge`` as base: |N1(u) ∩ N1(v)|."""
-    u, v = _require_edge(g, edge)
+    u, v = g._require_edge(edge)
     return (g._out[u] & g._out[v]).bit_count()
 
 
@@ -118,7 +100,7 @@ def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
     (t,v) and (v,w).  A diamond's count per base is the number of distinct
     apexes; use :func:`diamond_witnesses` to recover the (v,w) pairs.
     """
-    t, u = _require_edge(g, edge)
+    t, u = g._require_edge(edge)
     excluded = (1 << t) | (1 << u)
     targets = set()
     for w in _bits(g._out[u]):
@@ -130,7 +112,7 @@ def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
 
 def diamond_witnesses(g: Digraph, edge: Edge) -> list[DiamondWitness]:
     """All 2-directed diamonds with ``edge`` as a base, as full 4-tuples."""
-    t, u = _require_edge(g, edge)
+    t, u = g._require_edge(edge)
     excluded = (1 << t) | (1 << u)
     found = []
     for w in _bits(g._out[u]):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from seymour import Digraph
@@ -57,3 +58,23 @@ def loop_free_row_batches(draw, max_n=8, max_batch=16):
     batch = draw(st.lists(rows, min_size=1, max_size=max_batch))
     keep = [((1 << n) - 1) & ~(1 << u) for u in range(n)]
     return [[bits & mask for bits, mask in zip(row, keep)] for row in batch]
+
+
+@st.composite
+def digon_free_adjacency(draw, max_n=130):
+    """(n, n) bool adjacency matrices of digon-free digraphs.
+
+    Sizes include 1 and both sides of the 64- and 128-bit word boundaries;
+    densities run from the empty graph to a tournament.  The pair states
+    come from a drawn numpy seed, because n = 130 has 8,385 pairs.
+    """
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 128, 129, 130]) | st.integers(1, max_n))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = n * (n - 1) // 2
+    states = np.where(rng.random(k) < density, rng.integers(1, 3, k), 0).tolist()
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges_from_states(n, states):
+        adj[u, v] = True
+    # the reverse of a digon-free graph is one too; .T is a non-contiguous view
+    return adj.T if draw(st.booleans()) else adj

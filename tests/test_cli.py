@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from seymour import parse_digraph
+from seymour import parse_digraph, random_digon_free, write_digraph
 from seymour.cli import main
 
 C3_TEXT = "3 3\n0 1\n1 2\n2 0\n"
@@ -173,6 +173,21 @@ def test_generate_to_stdout(capsys):
     )
     assert code == 0
     parse_digraph(out)
+
+
+def test_generate_defaults_p_to_one_half(capsys):
+    # search requires --p; generate falls back to 0.5 on purpose
+    code, out, _ = run_cli(
+        capsys, "generate", "--model", "digon_free", "--n", "9", "--seed", "5", "-o", "-"
+    )
+    assert code == 0
+    assert out == write_digraph(random_digon_free(9, 0.5, 5))
+    code, _, err = run_cli(
+        capsys, "search", "--mode", "random", "--model", "digon_free",
+        "--n", "9", "--count", "2", "--seed", "5",
+    )
+    assert code == 1
+    assert "needs an edge probability" in err
 
 
 def test_generated_file_feeds_analyze(capsys, tmp_path):

@@ -1,9 +1,11 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seymour import Digraph, from_edges
+from seymour import Digraph
 from seymour.errors import (
     DigonPair,
     DuplicateEdge,
@@ -15,7 +17,7 @@ from seymour.errors import (
     VertexOutOfRange,
     WouldBeEmpty,
 )
-from strategies import digraphs, digraphs_with_edge
+from strategies import digon_free_adjacency, digraphs, digraphs_with_edge
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 TT = Digraph(3, [(0, 1), (0, 2), (1, 2)])  # transitive triangle, sink is 2
@@ -23,37 +25,37 @@ TT = Digraph(3, [(0, 1), (0, 2), (1, 2)])  # transitive triangle, sink is 2
 
 class TestConstruction:
     def test_cycle(self):
-        g = from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
         assert g.n == 3
         assert g.edges == ((0, 1), (1, 2), (2, 0))
 
     def test_digon_rejected(self):
         with pytest.raises(DigonPair) as exc:
-            from_edges(3, [(0, 1), (1, 0)])
+            Digraph(3, [(0, 1), (1, 0)])
         assert (exc.value.u, exc.value.v) == (0, 1)
 
     def test_loop_rejected(self):
         with pytest.raises(LoopEdge) as exc:
-            from_edges(2, [(1, 1)])
+            Digraph(2, [(1, 1)])
         assert exc.value.vertex == 1
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateEdge):
-            from_edges(2, [(0, 1), (0, 1)])
+            Digraph(2, [(0, 1), (0, 1)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(VertexOutOfRange) as exc:
-            from_edges(2, [(0, 5)])
+            Digraph(2, [(0, 5)])
         assert exc.value.vertex == 5
 
     def test_empty_vertex_set_rejected(self):
         with pytest.raises(EmptyVertexSet):
-            from_edges(0, [])
+            Digraph(0, [])
 
     def test_first_offender_in_canonical_order(self):
         # (0,0) sorts before the out-of-range (5,0), so the loop wins.
         with pytest.raises(LoopEdge):
-            from_edges(3, [(5, 0), (0, 0)])
+            Digraph(3, [(5, 0), (0, 0)])
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -307,3 +309,47 @@ def test_exact_semantics_beyond_64_vertices():
     assert big.walkable_neighborhood(7) == set(range(n))
     p = big.profile(3)
     assert (p.n1, p.n2, p.satisfactory) == (1, 1, True)
+
+
+def edges_of(adj):
+    rows = adj.tolist()
+    return [(u, v) for u, row in enumerate(rows) for v, bit in enumerate(row) if bit]
+
+
+def assert_same_graph(got, want):
+    """Equal as values and in every stored field, with plain Python ints."""
+    assert got == want and hash(got) == hash(want)
+    for name in ("n", "edges", "_out", "_in"):
+        assert getattr(got, name) == getattr(want, name)
+    assert type(got.n) is int
+    assert all(type(x) is int for edge in got.edges for x in edge)
+    assert all(type(x) is int for x in got._out + got._in)
+
+
+@settings(max_examples=120, deadline=None)
+@given(digon_free_adjacency())
+def test_trusted_constructor_matches_validating_constructor(adj):
+    g = Digraph._from_adjacency(adj)
+    assert_same_graph(g, Digraph(adj.shape[0], edges_of(adj)))
+    assert_same_graph(pickle.loads(pickle.dumps(g)), g)
+    assert (g._adjacency() == adj).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(digon_free_adjacency(max_n=70), st.data())
+def test_trusted_derivations_match_edge_list_oracle(adj, data):
+    g = Digraph._from_adjacency(adj)
+    keep = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    sub, relabel = g.induced_subgraph(keep)
+    assert relabel == {old: new for new, old in enumerate(sorted(keep))}
+    kept = [(relabel[u], relabel[v]) for u, v in g.edges if u in keep and v in keep]
+    assert_same_graph(sub, Digraph(len(keep), kept))
+    if g.n > 1:
+        u = data.draw(st.integers(0, g.n - 1))
+        z, relabel = g.delete_vertex(u)
+        assert relabel == {old: old - (old > u) for old in range(g.n) if old != u}
+        rest = [(relabel[a], relabel[b]) for a, b in g.edges if u not in (a, b)]
+        assert_same_graph(z, Digraph(g.n - 1, rest))
+    if g.m:
+        edge = data.draw(st.sampled_from(g.edges))
+        assert_same_graph(g.delete_edge(edge), Digraph(g.n, set(g.edges) - {edge}))

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from seymour import (
     random_triangle_free,
     run_search,
     space_size,
+    write_digraph,
 )
 from seymour.errors import (
     CeilingExceeded,
@@ -27,6 +31,7 @@ from seymour import search
 from seymour.cli import main
 from seymour.search import (
     _no_satisfactory_vertex,
+    _pair_index,
     _row_tables,
     _rows_at,
     pair_count,
@@ -375,3 +380,96 @@ def test_every_generated_graph_is_digon_free():
             edge_set = set(g.edges)
             assert all(u != v for u, v in edge_set)
             assert all((v, u) not in edge_set for u, v in edge_set)
+
+
+# SHA-256 of write_digraph(model(n, ..., seed)), recorded before the models
+# moved from edge lists to numpy adjacency matrices.  A change to a model's
+# draw order or pair order changes these; run-to-run reproducibility alone
+# would not notice.  triangle_free at n=7, p=0.5 goes through the retry loop.
+PINNED_MODELS = {
+    "tournament": lambda n, seed: random_tournament(n, seed),
+    "digon_free": lambda n, seed: random_digon_free(n, 0.3, seed),
+    "acyclic": lambda n, seed: random_acyclic(n, 0.3, seed),
+    "triangle_free": lambda n, seed: random_triangle_free(
+        n, 0.03 if n >= 50 else 0.5, seed
+    ),
+}
+PINNED_DIGESTS = {
+    ("tournament", 1, 3): "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("tournament", 1, (11, 4)): "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("tournament", 7, 3): "3b36d1bb2928aa3518111da3398b0a5ec5a9d4148e2a71ac6dd4103f9d3abc1e",
+    ("tournament", 7, (11, 4)): "82f04b014f968d71aa6e323431e0b1d918c5ddeb288d35b2dda53c59d0bfe708",
+    ("tournament", 50, 3): "9eec1ba4bb62521a964b8e162725cac627e51ccddd4c9c6271771fa5d34198c3",
+    ("tournament", 50, (11, 4)): "de2171ba7ff3ad64b2b5af03cfc86904a3956d26f6aec11714ef399001f36091",
+    ("tournament", 70, 3): "1bdfde44ed30268f4c66654d850362c0fe1a80b607111ff73f988ce6630a4cb3",
+    ("tournament", 70, (11, 4)): "3bee3722950404b404a1bea02ecc3469e0da323480d561720c50c7d76d8c05ce",
+    ("digon_free", 1, 3): "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("digon_free", 1, (11, 4)): "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("digon_free", 7, 3): "65615818b2d10137abd31923eab80db78b9cc4481a6460b6f591905e602978f6",
+    ("digon_free", 7, (11, 4)): "82e63fa020492ebab4c5ab93913c1313acc8b94abb0fe95a369158d49aebdf81",
+    ("digon_free", 50, 3): "80219645dbd37ae6b0eb7c9df505e9b3101df8e744b41deadb74fb171039d5f2",
+    ("digon_free", 50, (11, 4)): "2b5e3a093de86fe8ec6efc31cc59dff1236d89768a8299d2c0925ae39dabeb02",
+    ("digon_free", 70, 3): "e057adbc9435f16e7df7b2b68483191f646f81945dc831dd8bb81ffa512cd21f",
+    ("digon_free", 70, (11, 4)): "a7fee06376d58eaa55a4cc75a275e3b15f96b219c448c69a0efc0c965e085892",
+    ("acyclic", 1, 3): "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("acyclic", 1, (11, 4)): "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("acyclic", 7, 3): "49d3764a8a765bc8dd5905e64efdaaf879334cf92d0a51df0bd9efffc67794ab",
+    ("acyclic", 7, (11, 4)): "d4e087ac6e9af16017995c97a79f982d7933902f7e662134950ee561e50bc93f",
+    ("acyclic", 50, 3): "4cf640bea2f8cd6e50042f9c205c861de47a55bf1d5ece88f9797446d19578f7",
+    ("acyclic", 50, (11, 4)): "e7d5e47f40ea6cd66c22550380dcfda739f49bd367dd33cd3dcd36017aeddfd9",
+    ("acyclic", 70, 3): "e86704d155e8172fe58f6f1149d89ca34d413c6633f154ef9ede303084c32aad",
+    ("acyclic", 70, (11, 4)): "7581ca7c968e61db4ea9f030a3bc70c678fd9f9f1e2cfb03e9cdbb924514a1fc",
+    ("triangle_free", 1, 3): "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("triangle_free", 1, (11, 4)): "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ("triangle_free", 7, 3): "0678dc47e2d7c3725668e3868ea2b4bf9f70a60d02f9b11146b6d1c89eb0699e",
+    ("triangle_free", 7, (11, 4)): "9ad603f126413101042f85370e258feed81583506e8e923b1ac70908cbf27594",
+    ("triangle_free", 50, 3): "62e44d4133359b902967d55ddc0fdf361ee6dd356004efdaee4657a15a2b4c7c",
+    ("triangle_free", 50, (11, 4)): "36b43a4244f1763b8cdd79f4de24769845fc6dd036e807538034a1b82d94249d",
+    ("triangle_free", 70, 3): "234b97a96c158a6af9dd65d6b5b3eb47445fd1e7dd23aa075752573edaeae2de",
+    ("triangle_free", 70, (11, 4)): "d6498267640951636f104ccd9545157a4f3163fb9d3585c66013920f972bfb33",
+}
+
+
+def test_random_models_are_pinned():
+    got = {
+        (name, n, seed): hashlib.sha256(write_digraph(model(n, seed)).encode()).hexdigest()
+        for name, model in PINNED_MODELS.items()
+        for n in (1, 7, 50, 70)
+        for seed in (3, (11, 4))
+    }
+    assert got == PINNED_DIGESTS
+
+
+def test_random_graph_dispatches_to_each_model():
+    assert search.random_graph("tournament", 6, None, 2) == random_tournament(6, 2)
+    assert search.random_graph("digon_free", 6, 0.4, 2) == random_digon_free(6, 0.4, 2)
+    assert search.random_graph("acyclic", 6, 0.4, 2) == random_acyclic(6, 0.4, 2)
+    assert search.random_graph("triangle_free", 6, 0.4, 2, 50) == random_triangle_free(
+        6, 0.4, 2, 50
+    )
+    with pytest.raises(InvalidProbability):
+        search.random_graph("acyclic", 6, None, 2)
+    with pytest.raises(ValueError, match="unknown random model"):
+        search.random_graph("regular", 6, 0.4, 2)
+
+
+def test_pair_index_is_combinations_order():
+    for n in (1, 2, 5, 9):
+        tails, heads = _pair_index(n)
+        assert list(zip(tails.tolist(), heads.tolist())) == list(
+            itertools.combinations(range(n), 2)
+        )
+
+
+def test_random_mode_looks_models_up_at_call_time(monkeypatch):
+    # profilers wrap the model functions as seymour.search globals
+    calls = []
+    real = search.random_tournament
+
+    def recording(n, seed):
+        calls.append(seed)
+        return real(n, seed)
+
+    monkeypatch.setattr(search, "random_tournament", recording)
+    run_search(SearchSpec(mode="random", model="tournament", n=5, count=3, seed=8))
+    assert calls == [(8, 0), (8, 1), (8, 2)]
