@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -61,18 +62,12 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_graph(args.file)
-    rows = []
-    for p in g.profiles():
-        rows.append(
-            {
-                "vertex": p.vertex,
-                "n1": p.n1,
-                "n2": p.n2,
-                "anti_satisfaction": p.anti_satisfaction,
-                "satisfactory": p.satisfactory,
-            }
-        )
-    satisfactory = sorted(g.satisfactory_vertices())
+    profiles = g.profiles()
+    rows = [
+        {**asdict(p), "anti_satisfaction": p.anti_satisfaction, "satisfactory": p.satisfactory}
+        for p in profiles
+    ]
+    satisfactory = [p.vertex for p in profiles if p.satisfactory]
     _emit(
         {
             "version": __version__,
@@ -131,15 +126,9 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.mode == "random":
-        if args.seed is None:
-            print("search --mode random requires an explicit --seed", file=sys.stderr)
-            return 1
-        if args.count is None:
-            print("search --mode random requires --count", file=sys.stderr)
-            return 1
-        if args.model is None:
-            print("search --mode random requires --model", file=sys.stderr)
+    for flag in ("seed", "count", "model"):
+        if args.mode == "random" and getattr(args, flag) is None:
+            print(f"search --mode random requires an explicit --{flag}", file=sys.stderr)
             return 1
     spec = SearchSpec(
         mode=args.mode,

@@ -13,12 +13,13 @@ a large finite stand-in.
 All derivation operations (edge/vertex deletion, induced subgraphs) return
 new graphs; values are safe to share between concurrent workers.
 
-``Digraph(n, edges)`` is the one validating constructor, for user input and
-the parser.  ``Digraph._from_adjacency(adj)`` is the trusted one: it builds
-the same value from an (n, n) bool matrix with numpy and checks nothing.
-Only package code whose matrix is loop-free and digon-free by construction
-may call it: the derivations below, the random models, ``graph_at_index``
-and ``build_product``.
+``_add_edge`` is the one edge check.  ``Digraph(n, edges)`` runs it over the
+sorted edges, for user input; ``parse_digraph`` runs it in line order, so
+errors carry line numbers, and then calls ``Digraph._from_parts``.  That and
+``Digraph._from_adjacency(adj)`` (from an (n, n) bool matrix) check nothing:
+only the parser and code that is loop-free and digon-free by construction
+call them (the derivations below, the random models, ``graph_at_index`` and
+``build_product``).
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+Rows = tuple[int, ...]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -48,6 +50,23 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask &= mask - 1
+
+
+def _add_edge(out: list[int], inn: list[int], u: int, v: int, line: int | None = None) -> None:
+    """Check edge (u, v) against the rows built so far, then add it to them."""
+    n = len(out)
+    if not 0 <= u < n:
+        raise VertexOutOfRange(u, n, line=line)
+    if not 0 <= v < n:
+        raise VertexOutOfRange(v, n, line=line)
+    if u == v:
+        raise LoopEdge(u, line=line)
+    if out[u] >> v & 1:
+        raise DuplicateEdge(u, v, line=line)
+    if out[v] >> u & 1:
+        raise DigonPair(u, v, line=line)
+    out[u] |= 1 << v
+    inn[v] |= 1 << u
 
 
 def _row_masks(adj: np.ndarray) -> tuple[int, ...]:
@@ -103,33 +122,25 @@ class Digraph:
         out_masks = [0] * n
         in_masks = [0] * n
         for u, v in ordered:
-            if not 0 <= u < n:
-                raise VertexOutOfRange(u, n)
-            if not 0 <= v < n:
-                raise VertexOutOfRange(v, n)
-            if u == v:
-                raise LoopEdge(u)
-            if out_masks[u] >> v & 1:
-                raise DuplicateEdge(u, v)
-            if out_masks[v] >> u & 1:
-                raise DigonPair(u, v)
-            out_masks[u] |= 1 << v
-            in_masks[v] |= 1 << u
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(ordered))
-        object.__setattr__(self, "_out", tuple(out_masks))
-        object.__setattr__(self, "_in", tuple(in_masks))
+            _add_edge(out_masks, in_masks, u, v)
+        parts = (n, tuple(ordered), tuple(out_masks), tuple(in_masks))
+        for name, value in zip(self.__slots__, parts):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_parts(cls, edges: tuple[Edge, ...], out: Rows, inn: Rows) -> Digraph:
+        """Unvalidated graph from sorted edges and their out- and in-rows."""
+        g = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, (len(out), edges, out, inn)):
+            object.__setattr__(g, name, value)
+        return g
 
     @classmethod
     def _from_adjacency(cls, adj: np.ndarray) -> Digraph:
         """Unvalidated graph of a loop-free, digon-free (n, n) bool matrix."""
         tails, heads = np.nonzero(adj)  # row-major, so edges come out sorted
-        g = cls.__new__(cls)
-        object.__setattr__(g, "n", adj.shape[0])
-        object.__setattr__(g, "edges", tuple(zip(tails.tolist(), heads.tolist())))
-        object.__setattr__(g, "_out", _row_masks(adj))
-        object.__setattr__(g, "_in", _row_masks(adj.T))
-        return g
+        edges = tuple(zip(tails.tolist(), heads.tolist()))
+        return cls._from_parts(edges, _row_masks(adj), _row_masks(adj.T))
 
     def _adjacency(self) -> np.ndarray:
         """A fresh (n, n) bool matrix, adj[u, v] iff (u, v) is an edge."""

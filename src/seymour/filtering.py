@@ -24,12 +24,15 @@ checks last) so reports are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .digraph import Digraph, Edge, _bits
-from .errors import ConditionOutOfRange, NoSuchEdge
-from .structure import (
+from .errors import ConditionOutOfRange
+from .structure import (  # noqa: F401  (re-exported: callers look the counters up here)
+    _apex_mask,
+    _two_walks,
     diamond_base_targets,
     has_directed_cycle,
     is_strongly_connected,
@@ -63,11 +66,7 @@ class ConditionVerdict:
         return self.status != FAIL
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "condition": self.condition,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -80,17 +79,21 @@ class FilterReport:
 
     @property
     def first_failure(self) -> ConditionVerdict | None:
-        for v in self.verdicts:
-            if v.status == FAIL:
-                return v
-        return None
+        return next((v for v in self.verdicts if v.status == FAIL), None)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "verdicts": [v.as_dict() for v in self.verdicts],
-            "survived": self.survived,
-            "evaluation_order": self.evaluation_order,
-        }
+        return asdict(self)
+
+
+def _missing(g: Digraph, edge: Edge, walks: tuple[int, int]) -> int:
+    """{v} ∪ N1(v) minus what u reaches avoiding ``edge`` = (u,v), given ``_two_walks(g, u)``.
+
+    A 2-walk u -> a -> w uses (u,v) iff a = v, so w in N1(v) is reached iff at
+    least two 2-walks end there, and v (never its own midpoint) iff one does."""
+    u, v = edge
+    once, twice = walks
+    bit = 1 << v
+    return (g._out[v] | bit) & ~((g._out[u] & ~bit) | twice | (once & bit))
 
 
 def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
@@ -100,30 +103,36 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
     barred, intermediate vertices are unrestricted.  Returns
     (covered, missing); the two sets partition {v} ∪ N1(v).
     """
-    u, v = edge
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g._out[u] >> v & 1:
-        raise NoSuchEdge(u, v)
-    targets = g._out[v] | (1 << v)
-    step1 = g._out[u] & ~(1 << v)
-    reach = step1
-    for a in _bits(step1):
-        # (a, b) can never equal (u, v): a != u since loops are forbidden.
-        reach |= g._out[a]
-    covered = targets & reach
-    missing = targets & ~reach
-    return set(_bits(covered)), set(_bits(missing))
+    u, v = g._require_edge(edge)
+    missing = _missing(g, (u, v), _two_walks(g, u))
+    return set(_bits((g._out[v] | 1 << v) & ~missing)), set(_bits(missing))
 
 
-def _check_no_satisfactory(g: Digraph) -> ConditionVerdict:
-    for u in range(g.n):
-        p = g.profile(u)
-        if p.satisfactory:
-            witness = {"vertex": u, "anti_satisfaction": p.anti_satisfaction}
-            return ConditionVerdict(0, FAIL, witness)
+class _Facts:
+    """Per-graph facts the checks share, each computed on first use: every
+    vertex's anti-satisfaction (conditions 0, 2, 6, 7) and ``_two_walks``
+    (3, 4, 5; O(n·d) once, so those conditions cost O(1) per edge)."""
+
+    def __init__(self, g: Digraph):
+        self.g = g
+
+    @cached_property
+    def anti(self) -> list[int]:
+        return [p.anti_satisfaction for p in self.g.profiles()]
+
+    @cached_property
+    def walks(self) -> list[tuple[int, int]]:
+        return [_two_walks(self.g, x) for x in range(self.g.n)]
+
+
+def _check_no_satisfactory(g: Digraph, facts: _Facts) -> ConditionVerdict:
+    for u, a in enumerate(facts.anti):
+        if a <= 0:
+            return ConditionVerdict(0, FAIL, {"vertex": u, "anti_satisfaction": a})
     return ConditionVerdict(0, PASS)
 
 
-def _check_strongly_connected(g: Digraph) -> ConditionVerdict:
+def _check_strongly_connected(g: Digraph, facts: _Facts) -> ConditionVerdict:
     if is_strongly_connected(g):
         return ConditionVerdict(1, PASS)
     # Find the lexicographically first unreachable ordered pair as witness.
@@ -135,45 +144,41 @@ def _check_strongly_connected(g: Digraph) -> ConditionVerdict:
     raise AssertionError("unreachable: connectivity check disagreed with itself")
 
 
-def _check_anti_satisfaction_band(g: Digraph) -> ConditionVerdict:
-    for u in range(g.n):
-        a = g.profile(u).anti_satisfaction
+def _check_anti_satisfaction_band(g: Digraph, facts: _Facts) -> ConditionVerdict:
+    for u, a in enumerate(facts.anti):
         if a not in (1, 2):
             return ConditionVerdict(2, FAIL, {"vertex": u, "anti_satisfaction": a})
     return ConditionVerdict(2, PASS)
 
 
-def _check_avoiding_paths(g: Digraph) -> ConditionVerdict:
-    if not g.edges:
-        return ConditionVerdict(3, NOT_APPLICABLE)
+def _check_avoiding_paths(g: Digraph, facts: _Facts) -> ConditionVerdict:
     for e in g.edges:
-        _, missing = avoiding_reach(g, e)
-        if len(missing) > 1:
-            witness = {"edge": list(e), "missing": sorted(missing)}
+        missing = _missing(g, e, facts.walks[e[0]])
+        if missing.bit_count() > 1:
+            witness = {"edge": list(e), "missing": list(_bits(missing))}
             return ConditionVerdict(3, FAIL, witness)
-    return ConditionVerdict(3, PASS)
+    return ConditionVerdict(3, PASS if g.edges else NOT_APPLICABLE)
 
 
-def _check_every_edge_is_base(g: Digraph) -> ConditionVerdict:
-    if not g.edges:
-        return ConditionVerdict(4, NOT_APPLICABLE)
+def _check_every_edge_is_base(g: Digraph, facts: _Facts) -> ConditionVerdict:
     for e in g.edges:
-        if triangle_base_count(g, e) == 0 and not diamond_base_targets(g, e):
+        u, v = e
+        if not g._out[u] & g._out[v] and not _apex_mask(g, e, facts.walks[u]):
             return ConditionVerdict(4, FAIL, {"edge": list(e)})
-    return ConditionVerdict(4, PASS)
+    return ConditionVerdict(4, PASS if g.edges else NOT_APPLICABLE)
 
 
-def _check_base_multiplicity(g: Digraph) -> ConditionVerdict:
+def _check_base_multiplicity(g: Digraph, facts: _Facts) -> ConditionVerdict:
     applicable = False
-    for u, v in g.edges:
-        d_u = g._out[u].bit_count()
-        d_v = g._out[v].bit_count()
-        if d_u > d_v:
+    degree = [row.bit_count() for row in g._out]
+    for e in g.edges:
+        u, v = e
+        if degree[u] > degree[v]:
             continue
         applicable = True
-        required = d_v - d_u + 1
-        triangles = triangle_base_count(g, (u, v))
-        apexes = len(diamond_base_targets(g, (u, v)))
+        required = degree[v] - degree[u] + 1
+        triangles = (g._out[u] & g._out[v]).bit_count()
+        apexes = _apex_mask(g, e, facts.walks[u]).bit_count()
         if triangles < required or apexes < required:
             witness = {
                 "edge": [u, v],
@@ -187,20 +192,17 @@ def _check_base_multiplicity(g: Digraph) -> ConditionVerdict:
     return ConditionVerdict(5, PASS)
 
 
-def _check_in_neighbor_band(g: Digraph) -> ConditionVerdict:
-    anti = [g.profile(u).anti_satisfaction for u in range(g.n)]
+def _check_in_neighbor_band(g: Digraph, facts: _Facts) -> ConditionVerdict:
+    anti = facts.anti
     for u in range(g.n):
         if not any(anti[w] == 1 for w in _bits(g._in[u])):
             return ConditionVerdict(6, FAIL, {"vertex": u})
     return ConditionVerdict(6, PASS)
 
 
-def _check_band_cycle(g: Digraph) -> ConditionVerdict:
-    ones = [u for u in range(g.n) if g.profile(u).anti_satisfaction == 1]
-    if not ones:
-        return ConditionVerdict(7, FAIL, {"vertices": []})
-    sub, _ = g.induced_subgraph(ones)
-    if has_directed_cycle(sub):
+def _check_band_cycle(g: Digraph, facts: _Facts) -> ConditionVerdict:
+    ones = [u for u, a in enumerate(facts.anti) if a == 1]
+    if ones and has_directed_cycle(g.induced_subgraph(ones)[0]):
         return ConditionVerdict(7, PASS)
     return ConditionVerdict(7, FAIL, {"vertices": ones})
 
@@ -217,11 +219,14 @@ _CHECKS = {
 }
 
 
-def check_condition(g: Digraph, k: int) -> ConditionVerdict:
-    """Evaluate one condition; the verdict's witness explains any failure."""
+def check_condition(g: Digraph, k: int, facts: _Facts | None = None) -> ConditionVerdict:
+    """Evaluate one condition; the verdict's witness explains any failure.
+
+    ``facts`` carries the per-graph work run_filter shares between checks.
+    """
     if k not in _CHECKS:
         raise ConditionOutOfRange(k)
-    return _CHECKS[k](g)
+    return _CHECKS[k](g, facts if facts is not None else _Facts(g))
 
 
 def run_filter(g: Digraph, short_circuit: bool = True) -> FilterReport:
@@ -234,8 +239,9 @@ def run_filter(g: Digraph, short_circuit: bool = True) -> FilterReport:
     """
     verdicts: list[ConditionVerdict] = []
     survived = True
+    facts = _Facts(g)
     for k in EVALUATION_ORDER:
-        verdict = check_condition(g, k)
+        verdict = check_condition(g, k, facts)
         verdicts.append(verdict)
         if verdict.status == FAIL:
             survived = False

@@ -93,21 +93,33 @@ def triangle_base_count(g: Digraph, edge: Edge) -> int:
     return (g._out[u] & g._out[v]).bit_count()
 
 
+def _two_walks(g: Digraph, x: int) -> tuple[int, int]:
+    """Bitsets of the vertices that end at least one, and at least two, 2-walks from x."""
+    once = twice = 0
+    for a in _bits(g._out[x]):
+        twice |= once & g._out[a]
+        once |= g._out[a]
+    return once, twice
+
+
+def _apex_mask(g: Digraph, edge: Edge, walks: tuple[int, int]) -> int:
+    """Diamond apexes of ``edge`` = (t,u) as a bitset, given ``_two_walks(g, t)``."""
+    return g._out[edge[1]] & walks[1]
+
+
 def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
     """Apexes w of 2-directed diamonds having ``edge`` = (t,u) as a base.
 
     w qualifies when (u,w) is an edge and some v outside {t,u,w} carries
-    (t,v) and (v,w).  A diamond's count per base is the number of distinct
-    apexes; use :func:`diamond_witnesses` to recover the (v,w) pairs.
+    (t,v) and (v,w).  t -> u -> w is always one 2-walk, and without loops
+    or digons every other midpoint v lies outside {t,u,w}, so the apexes
+    are the out-neighbors of u that end at least two 2-walks from t: one
+    pass over N1(t), then O(1) bitset operations.  A diamond's count per
+    base is the number of distinct apexes; use :func:`diamond_witnesses`
+    to recover the (v,w) pairs.
     """
     t, u = g._require_edge(edge)
-    excluded = (1 << t) | (1 << u)
-    targets = set()
-    for w in _bits(g._out[u]):
-        mids = g._out[t] & g._in[w] & ~excluded & ~(1 << w)
-        if mids:
-            targets.add(w)
-    return targets
+    return set(_bits(_apex_mask(g, (t, u), _two_walks(g, t))))
 
 
 def diamond_witnesses(g: Digraph, edge: Edge) -> list[DiamondWitness]:

@@ -10,16 +10,8 @@ Parse errors carry the 1-based line number of the offending input line.
 """
 from __future__ import annotations
 
-from .digraph import Digraph
-from .errors import (
-    CountMismatch,
-    DigonPair,
-    DuplicateEdge,
-    EmptyVertexSet,
-    GraphSyntaxError,
-    LoopEdge,
-    VertexOutOfRange,
-)
+from .digraph import Digraph, _add_edge
+from .errors import CountMismatch, EmptyVertexSet, GraphSyntaxError
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
@@ -34,14 +26,12 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
 
 def _two_ints(lineno: int, content: str, what: str) -> tuple[int, int]:
     tokens = content.split()
-    if len(tokens) != 2:
-        raise GraphSyntaxError(lineno, f"expected two integers ({what}), got {content!r}")
     try:
-        return int(tokens[0]), int(tokens[1])
+        if len(tokens) == 2:
+            return int(tokens[0]), int(tokens[1])
     except ValueError:
-        raise GraphSyntaxError(
-            lineno, f"expected two integers ({what}), got {content!r}"
-        ) from None
+        pass
+    raise GraphSyntaxError(lineno, f"expected two integers ({what}), got {content!r}")
 
 
 def parse_digraph(text: str) -> Digraph:
@@ -59,22 +49,14 @@ def parse_digraph(text: str) -> Digraph:
     if len(edge_lines) != m:
         raise CountMismatch(declared=m, actual=len(edge_lines))
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    out = [0] * n
+    inn = [0] * n
     for lineno, content in edge_lines:
         u, v = _two_ints(lineno, content, "edge tail and head")
-        if not 0 <= u < n:
-            raise VertexOutOfRange(u, n, line=lineno)
-        if not 0 <= v < n:
-            raise VertexOutOfRange(v, n, line=lineno)
-        if u == v:
-            raise LoopEdge(u, line=lineno)
-        if (u, v) in seen:
-            raise DuplicateEdge(u, v, line=lineno)
-        if (v, u) in seen:
-            raise DigonPair(u, v, line=lineno)
-        seen.add((u, v))
+        _add_edge(out, inn, u, v, line=lineno)  # the first bad line is reported
         edges.append((u, v))
-    return Digraph(n, edges)
+    # every edge was checked above, so skip the constructor's second pass
+    return Digraph._from_parts(tuple(sorted(edges)), tuple(out), tuple(inn))
 
 
 def write_digraph(g: Digraph) -> str:

@@ -6,6 +6,7 @@ package so the two sides can disagree.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -102,19 +103,28 @@ def girth(n, edges):
     return best
 
 
+@functools.lru_cache(maxsize=4)
+def _edge_index(n, edges):
+    """(edge set, out-neighbor sets) of an edge tuple.  Cached because the
+    verdict oracles below ask once per edge of graphs with thousands of edges."""
+    out, _ = adjacency(n, edges)
+    return frozenset(edges), {u: frozenset(heads) for u, heads in out.items()}
+
+
 def triangle_bases(n, edges, e):
     u, v = e
-    edge_set = set(edges)
+    edge_set, _ = _edge_index(n, tuple(edges))
     return {w for w in range(n) if (u, w) in edge_set and (v, w) in edge_set}
 
 
 def diamond_apexes(n, edges, e):
-    """Apexes by brute force over all ordered 4-tuples."""
+    """Apexes by brute force over the ordered 4-tuples (t, u, v, w) whose
+    v is a head of t and w a head of u."""
     t, u = e
-    edge_set = set(edges)
+    edge_set, out = _edge_index(n, tuple(edges))
     apexes = set()
-    for w in range(n):
-        for v in range(n):
+    for w in out[u]:
+        for v in out[t]:
             if len({t, u, v, w}) != 4:
                 continue
             if {(t, u), (u, w), (t, v), (v, w)} <= edge_set:
@@ -125,7 +135,7 @@ def diamond_apexes(n, edges, e):
 def avoiding_reach(n, edges, e):
     """(covered, missing) via explicit enumeration of walks skipping e."""
     u, v = e
-    out, _ = adjacency(n, edges)
+    _, out = _edge_index(n, tuple(edges))
     targets = {v} | out[v]
     reached = set()
     for b in out[u]:
@@ -218,6 +228,57 @@ def cond7(n, edges):
     sub_edges = [(u, v) for u, v in edges if u in ones and v in ones]
     relabel = {old: new for new, old in enumerate(sorted(ones))}
     return has_cycle(len(ones), [(relabel[u], relabel[v]) for u, v in sub_edges]) if ones else False
+
+
+# -- check_condition(g, k).as_dict() for the edge conditions 3-5 -------------
+# Edges are scanned in sorted order and the first failing edge is the witness.
+
+
+def _verdict(k, status, witness=None):
+    return {"condition": k, "status": status, "witness": witness}
+
+
+def cond3_verdict(n, edges):
+    if not edges:
+        return _verdict(3, "not-applicable")
+    for e in sorted(edges):
+        missing = avoiding_reach(n, edges, e)[1]
+        if len(missing) > 1:
+            return _verdict(3, "fail", {"edge": list(e), "missing": sorted(missing)})
+    return _verdict(3, "pass")
+
+
+def cond4_verdict(n, edges):
+    if not edges:
+        return _verdict(4, "not-applicable")
+    for e in sorted(edges):
+        if not triangle_bases(n, edges, e) and not diamond_apexes(n, edges, e):
+            return _verdict(4, "fail", {"edge": list(e)})
+    return _verdict(4, "pass")
+
+
+def cond5_verdict(n, edges):
+    out, _ = adjacency(n, edges)
+    applicable = False
+    for u, v in sorted(edges):
+        if len(out[u]) > len(out[v]):
+            continue
+        applicable = True
+        required = len(out[v]) - len(out[u]) + 1
+        triangles = len(triangle_bases(n, edges, (u, v)))
+        apexes = len(diamond_apexes(n, edges, (u, v)))
+        if triangles < required or apexes < required:
+            witness = {
+                "edge": [u, v],
+                "required": required,
+                "triangle_bases": triangles,
+                "diamond_apexes": apexes,
+            }
+            return _verdict(5, "fail", witness)
+    return _verdict(5, "pass" if applicable else "not-applicable")
+
+
+EDGE_VERDICT_ORACLES = {3: cond3_verdict, 4: cond4_verdict, 5: cond5_verdict}
 
 
 CONDITION_ORACLES = {

@@ -5,12 +5,14 @@ import oracles
 from seymour import (
     Digraph,
     avoiding_reach,
+    build_product,
     check_condition,
     diamond_base_targets,
     has_directed_cycle,
     run_filter,
     triangle_base_count,
 )
+from seymour import filtering, structure
 from seymour.errors import ConditionOutOfRange, NoSuchEdge
 from seymour.filtering import EVALUATION_ORDER, FAIL, NOT_APPLICABLE, PASS
 from strategies import digraphs, digraphs_with_edge
@@ -176,6 +178,79 @@ def test_band_cycle_condition_equals_cycle_on_induced(g):
     ones = [u for u in range(g.n) if g.profile(u).anti_satisfaction == 1]
     expected = bool(ones) and has_directed_cycle(g.induced_subgraph(ones)[0])
     assert (check_condition(g, 7).status == PASS) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(max_n=8))
+def test_edge_condition_verdicts_match_witness_oracles(g):
+    for k, oracle in oracles.EDGE_VERDICT_ORACLES.items():
+        assert check_condition(g, k).as_dict() == oracle(g.n, g.edges), f"condition {k}"
+
+
+def _regular_tournament(n):
+    """The rotational tournament on odd n: i -> i + s (mod n) for s = 1 .. (n-1)/2."""
+    return Digraph(n, [(i, (i + s) % n) for i in range(n) for s in range(1, (n + 1) // 2)])
+
+
+def _cycle(k):
+    return Digraph(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+# Random small graphs almost never pass conditions 3-5, so the passing branch
+# is planted on products of a regular tournament D.  D x C_k passes 4 and 5
+# but fails 3: for an edge (u,v) inside a copy of C_k, no other 1- or 2-walk
+# from u re-enters the copy (D has no digons), so v and its successor are
+# both missed.  D x (k isolated vertices) passes 3 and 4 but fails 5.  The
+# 65-vertex products cross a 64-bit word boundary.
+@pytest.mark.parametrize(
+    "d, h, passing",
+    [
+        pytest.param(5, _cycle(3), (4, 5), id="T5xC3"),
+        pytest.param(7, _cycle(4), (4, 5), id="T7xC4"),
+        pytest.param(9, _cycle(5), (4, 5), id="T9xC5"),
+        pytest.param(13, _cycle(5), (4, 5), id="T13xC5"),
+        pytest.param(5, Digraph(3), (3, 4), id="T5xE3"),
+        pytest.param(13, Digraph(5), (3, 4), id="T13xE5"),
+    ],
+)
+def test_planted_positives_match_witness_oracles(d, h, passing):
+    product, _ = build_product(_regular_tournament(d), h)
+    verdicts = {k: check_condition(product, k).as_dict() for k in (3, 4, 5)}
+    for k, oracle in oracles.EDGE_VERDICT_ORACLES.items():
+        assert verdicts[k] == oracle(product.n, product.edges), f"condition {k}"
+    assert [verdicts[k]["status"] for k in passing] == [PASS] * len(passing)
+
+
+def test_failed_prerequisite_never_builds_two_walk_masks(monkeypatch):
+    def refuse(g, x):
+        raise AssertionError("two-walk masks built")
+
+    monkeypatch.setattr(filtering, "_two_walks", refuse)
+    report = run_filter(TT)
+    assert report.evaluation_order == [0] and not report.survived
+    with pytest.raises(AssertionError, match="two-walk"):  # the patch is live
+        run_filter(TT, short_circuit=False)
+
+
+def test_filter_keeps_its_call_sites(monkeypatch):
+    # perfbench wraps these module attributes to time the filter's layers
+    for name in (
+        "is_strongly_connected",
+        "has_directed_cycle",
+        "triangle_base_count",
+        "diamond_base_targets",
+    ):
+        assert getattr(filtering, name) is getattr(structure, name)
+    seen = []
+    original = filtering.check_condition
+
+    def recording(g, k, *args):
+        seen.append(k)
+        return original(g, k, *args)
+
+    monkeypatch.setattr(filtering, "check_condition", recording)
+    run_filter(TT, short_circuit=False)
+    assert seen == list(EVALUATION_ORDER)
 
 
 class TestRunFilter:

@@ -75,6 +75,22 @@ class TestParse:
         with pytest.raises(GraphSyntaxError):
             parse_digraph("2 -1\n")
 
+    def test_first_bad_line_is_reported(self):
+        # sorted order would meet the digon (0,1)/(1,0) first; lines meet the loop first
+        with pytest.raises(LoopEdge) as exc:
+            parse_digraph("3 3\n0 1\n2 2\n1 0\n")
+        assert exc.value.line == 3
+
+    def test_validates_once_without_a_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("second validation or (n, n) matrix")
+
+        monkeypatch.setattr(Digraph, "__init__", refuse)
+        monkeypatch.setattr(Digraph, "_from_adjacency", refuse)
+        g = parse_digraph("100000 2\n99999 0\n0 1\n")
+        assert g.edges == ((0, 1), (99999, 0))
+        assert (g.out_mask(99999), g.in_mask(0)) == (1, 1 << 99999)
+
 
 class TestWrite:
     def test_cycle_canonical_bytes(self):
@@ -91,7 +107,9 @@ class TestWrite:
 @settings(max_examples=200, deadline=None)
 @given(digraphs())
 def test_round_trip(g):
-    assert parse_digraph(write_digraph(g)) == g
+    parsed = parse_digraph(write_digraph(g))
+    assert parsed == g
+    assert (parsed._out, parsed._in) == (g._out, g._in)  # the rows the parser built
 
 
 def test_round_trip_on_all_small_graphs():
