@@ -27,6 +27,7 @@ from .filtering import run_filter
 from .product import build_product, is_valid_second_factor
 from .search import (
     DEFAULT_CEILING,
+    DEFAULT_MAX_RETRIES,
     RANDOM_MODELS,
     SearchSpec,
     random_graph,
@@ -98,7 +99,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     d_graph = _read_graph(args.file_d)
     h_graph = _read_graph(args.file_h)
-    if not is_valid_second_factor(h_graph):
+    valid_second_factor = is_valid_second_factor(h_graph)
+    if not valid_second_factor:
         print(
             "warning: second factor has a vertex with negative anti-satisfaction; "
             "the product need not preserve counterexamples",
@@ -117,7 +119,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
             "h_vertices": h_graph.n,
             "product_vertices": product.n,
             "product_edges": product.m,
-            "valid_second_factor": is_valid_second_factor(h_graph),
+            "valid_second_factor": valid_second_factor,
             "output": args.output,
             "labels": args.labels,
         }
@@ -184,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--no-filter", action="store_true")
     p_search.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    p_search.add_argument("--max-retries", type=int, default=1000)
+    p_search.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     p_search.set_defaults(func=_cmd_search)
 
     p_generate = sub.add_parser("generate", help="emit one seeded random graph")
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument(  # a one-off graph gets a default; a sweep must choose
         "--p", type=float, default=0.5, help="edge probability, default 0.5 (search has none)"
     )
-    p_generate.add_argument("--max-retries", type=int, default=1000)
+    p_generate.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     p_generate.add_argument("-o", "--output", required=True)
     p_generate.set_defaults(func=_cmd_generate)
 

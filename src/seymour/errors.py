@@ -1,8 +1,12 @@
 """Exception types shared across the toolkit.
 
-Every validation failure carries the offending datum as attributes so
-callers (and the text parser, which adds 1-based line numbers) can report
-or replay it.  All exceptions derive from :class:`DigraphError`.
+Every error derives from :class:`DigraphError` and declares only its
+``fields`` and a message ``template``.  The constructor's values become
+``args`` and one attribute per field, so callers can report or replay the
+offending datum.  ``args`` are the data; errors pickle across processes,
+because default exception pickling, ``(type, args, __dict__)``, rebuilds
+each one exactly.  ``str()`` fills the template from the attributes and
+adds " (line N)" when a 1-based input ``line`` is set.
 """
 from __future__ import annotations
 
@@ -10,110 +14,80 @@ from __future__ import annotations
 class DigraphError(Exception):
     """Base class for all errors raised by this package."""
 
+    fields: tuple[str, ...] = ()
+    template = ""
 
-def _at_line(line: int | None) -> str:
-    return f" (line {line})" if line is not None else ""
+    def __init__(self, *values: object, line: int | None = None):
+        super().__init__(*values)
+        self.line = line
+        for name, value in zip(self.fields, values, strict=True):
+            setattr(self, name, value)
+
+    def __str__(self) -> str:
+        text = self.template.format_map(vars(self))
+        return text if self.line is None else f"{text} (line {self.line})"
 
 
 class LoopEdge(DigraphError):
-    def __init__(self, vertex: int, line: int | None = None):
-        self.vertex = vertex
-        self.line = line
-        super().__init__(f"loop edge ({vertex},{vertex}) is not allowed{_at_line(line)}")
-
+    fields = ("vertex",)
+    template = "loop edge ({vertex},{vertex}) is not allowed"
 
 class DigonPair(DigraphError):
     """Both orientations of a vertex pair were given; stores the pair (u,v) with (u,v) < (v,u)."""
 
-    def __init__(self, u: int, v: int, line: int | None = None):
-        if (v, u) < (u, v):
-            u, v = v, u
-        self.u = u
-        self.v = v
-        self.line = line
-        super().__init__(f"digon: both ({u},{v}) and ({v},{u}) present{_at_line(line)}")
+    fields = ("u", "v")
+    template = "digon: both ({u},{v}) and ({v},{u}) present"
 
+    def __init__(self, u: int, v: int, line: int | None = None):
+        super().__init__(*sorted((u, v)), line=line)
 
 class DuplicateEdge(DigraphError):
-    def __init__(self, u: int, v: int, line: int | None = None):
-        self.u = u
-        self.v = v
-        self.line = line
-        super().__init__(f"duplicate edge ({u},{v}){_at_line(line)}")
-
+    fields = ("u", "v")
+    template = "duplicate edge ({u},{v})"
 
 class VertexOutOfRange(DigraphError):
-    def __init__(self, vertex: int, n: int, line: int | None = None):
-        self.vertex = vertex
-        self.n = n
-        self.line = line
-        super().__init__(f"vertex {vertex} out of range [0, {n}){_at_line(line)}")
-
+    fields = ("vertex", "n")
+    template = "vertex {vertex} out of range [0, {n})"
 
 class EmptyVertexSet(DigraphError):
-    def __init__(self, line: int | None = None):
-        self.line = line
-        super().__init__(f"a digraph needs at least one vertex{_at_line(line)}")
-
+    template = "a digraph needs at least one vertex"
 
 class NonPositiveK(DigraphError):
-    def __init__(self, k: int):
-        self.k = k
-        super().__init__(f"neighborhood layer index must be >= 1, got {k}")
-
+    fields = ("k",)
+    template = "neighborhood layer index must be >= 1, got {k}"
 
 class EmptySubset(DigraphError):
-    def __init__(self) -> None:
-        super().__init__("induced subgraph needs a nonempty vertex subset")
-
+    template = "induced subgraph needs a nonempty vertex subset"
 
 class NoSuchEdge(DigraphError):
-    def __init__(self, u: int, v: int):
-        self.u = u
-        self.v = v
-        super().__init__(f"edge ({u},{v}) not present")
-
+    fields = ("u", "v")
+    template = "edge ({u},{v}) not present"
 
 class WouldBeEmpty(DigraphError):
-    def __init__(self) -> None:
-        super().__init__("deleting the last vertex would leave an empty graph")
-
+    template = "deleting the last vertex would leave an empty graph"
 
 class ConditionOutOfRange(DigraphError):
-    def __init__(self, condition: int):
-        self.condition = condition
-        super().__init__(f"condition index must be in 0..7, got {condition}")
-
+    fields = ("condition",)
+    template = "condition index must be in 0..7, got {condition}"
 
 class CeilingExceeded(DigraphError):
-    def __init__(self, n: int, ceiling: int):
-        self.n = n
-        self.ceiling = ceiling
-        super().__init__(f"exhaustive enumeration at n={n} exceeds the ceiling {ceiling}")
-
+    fields = ("n", "ceiling")
+    template = "exhaustive enumeration at n={n} exceeds the ceiling {ceiling}"
 
 class InvalidProbability(DigraphError):
-    def __init__(self, p: float):
-        self.p = p
-        super().__init__(f"probability must lie in [0, 1], got {p}")
-
+    fields = ("p",)
+    template = "probability must lie in [0, 1], got {p}"
 
 class RetriesExhausted(DigraphError):
-    def __init__(self, attempts: int):
-        self.attempts = attempts
-        super().__init__(f"rejection sampling gave up after {attempts} attempts")
-
+    fields = ("attempts",)
+    template = "rejection sampling gave up after {attempts} attempts"
 
 class GraphSyntaxError(DigraphError):
-    """Malformed line in the text format."""
+    """Malformed line in the text format; the line number is the first value."""
 
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"{message} (line {line})")
-
+    fields = ("line", "message")
+    template = "{message}"
 
 class CountMismatch(DigraphError):
-    def __init__(self, declared: int, actual: int):
-        self.declared = declared
-        self.actual = actual
-        super().__init__(f"header declares {declared} edges but {actual} were found")
+    fields = ("declared", "actual")
+    template = "header declares {declared} edges but {actual} were found"

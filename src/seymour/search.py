@@ -44,6 +44,7 @@ from .structure import has_transitive_triangle
 from .textio import write_digraph
 
 DEFAULT_CEILING = 6
+DEFAULT_MAX_RETRIES = 1000  # rejection-sampling attempts per triangle-free graph
 
 RANDOM_MODELS = ("tournament", "digon_free", "acyclic", "triangle_free")
 
@@ -188,7 +189,7 @@ def random_acyclic(n: int, p: float, seed: SeedLike) -> Digraph:
 
 
 def random_triangle_free(
-    n: int, p: float, seed: SeedLike, max_retries: int = 1000
+    n: int, p: float, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
 ) -> Digraph:
     """Rejection-sample digon-free graphs until none has a transitive triangle."""
     if n < 1:
@@ -205,7 +206,7 @@ def random_triangle_free(
 
 
 def random_graph(
-    model: str, n: int, p: float | None, seed: SeedLike, max_retries: int = 1000
+    model: str, n: int, p: float | None, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
 ) -> Digraph:
     """One graph of a model in RANDOM_MODELS (tournaments ignore p); models
     are looked up as module globals per call, so wrappers on them see it."""
@@ -236,7 +237,7 @@ class SearchSpec:
     workers: int = 1
     filter_enabled: bool = True
     ceiling: int = DEFAULT_CEILING
-    max_retries: int = 1000
+    max_retries: int = DEFAULT_MAX_RETRIES
 
     def validate(self) -> None:
         if self.n < 1:

@@ -47,7 +47,7 @@ def parse_digraph(text: str) -> Digraph:
         raise GraphSyntaxError(header_line, f"negative edge count {m}")
     edge_lines = lines[1:]
     if len(edge_lines) != m:
-        raise CountMismatch(declared=m, actual=len(edge_lines))
+        raise CountMismatch(m, len(edge_lines))
     edges: list[tuple[int, int]] = []
     out = [0] * n
     inn = [0] * n

@@ -145,6 +145,17 @@ def test_search_random_requires_seed(capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_error_in_a_worker_reaches_stderr_intact(capsys, workers):
+    # 300 graphs are 3 tasks, so --workers 2 starts a pool of 2 processes
+    # and the error comes back pickled
+    argv = ["search", "--mode", "random", "--model", "triangle_free", "--n", "12"]
+    argv += ["--p", "0.9", "--count", "300", "--seed", "1", "--max-retries", "2"]
+    code, out, err = run_cli(capsys, *argv, "--workers", workers)
+    assert (code, out) == (1, "")
+    assert err == "error: rejection sampling gave up after 2 attempts\n"
+
+
 def test_search_random_deterministic_output(capsys):
     argv = (
         "search", "--mode", "random", "--model", "digon_free",

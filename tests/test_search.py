@@ -243,6 +243,22 @@ class TestRandomModels:
             random_triangle_free(4, 1.0, seed=0, max_retries=3)
         assert exc.value.attempts == 3
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda n: random_tournament(n, seed=0),
+            lambda n: random_digon_free(n, 0.5, seed=0),
+            lambda n: random_acyclic(n, 0.5, seed=0),
+            lambda n: random_triangle_free(n, 0.5, seed=0),
+        ],
+        ids=["tournament", "digon_free", "acyclic", "triangle_free"],
+    )
+    def test_models_reject_an_empty_vertex_set(self, draw, n):
+        # p is valid, so the n check is the one that fires
+        with pytest.raises(EmptyVertexSet):
+            draw(n)
+
 
 class TestRunSearch:
     def test_exhaustive_four_vertices(self):
