@@ -18,8 +18,8 @@ sorted edges, for user input; ``parse_digraph`` runs it in line order, so
 errors carry line numbers, and then calls ``Digraph._from_parts``.  That and
 ``Digraph._from_adjacency(adj)`` (from an (n, n) bool matrix) check nothing:
 only the parser and code that is loop-free and digon-free by construction
-call them (the derivations below, the random models, ``graph_at_index`` and
-``build_product``).
+call them (the derivations below, the random models, the graphs ``search``
+decodes or draws, and ``build_product``).
 """
 from __future__ import annotations
 
@@ -69,12 +69,27 @@ def _add_edge(out: list[int], inn: list[int], u: int, v: int, line: int | None =
     inn[v] |= 1 << u
 
 
+def _packed_rows(adj: np.ndarray) -> np.ndarray:
+    """(n, W) out-rows of an (n, n) bool matrix: bit v % B of word v // B of
+    row u is set iff adj[u, v].  The words are the narrowest unsigned dtype
+    of B >= n bits, or W = ceil(n / 64) uint64 words past 64 vertices."""
+    n = adj.shape[0]
+    size = next((s for s in (1, 2, 4) if n <= 8 * s), 8)  # bytes per word
+    packed = np.zeros((n, -(-n // (8 * size)) * size), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+    return packed.view(f"<u{size}")
+
+
+def _unpacked(rows: np.ndarray) -> np.ndarray:
+    """The (n, n) bool matrix of (n,) or (n, W) rows laid out as by _packed_rows."""
+    n = rows.shape[0]
+    bits = np.unpackbits(rows.reshape(n, -1).view(np.uint8), axis=1, count=n, bitorder="little")
+    return bits.view(bool)
+
+
 def _row_masks(adj: np.ndarray) -> tuple[int, ...]:
     """Row u of a bool matrix as an int with bit v set iff adj[u, v]."""
-    n = adj.shape[0]
-    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)  # whole 64-bit words
-    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
-    words = packed.view("<u8").T.tolist()  # one list per 64-bit word column
+    words = _packed_rows(adj).T.tolist()  # one list per word column
     masks = words.pop()
     for low in reversed(words):  # only when n > 64
         masks = [high << 64 | word for high, word in zip(masks, low)]
@@ -146,8 +161,7 @@ class Digraph:
         """A fresh (n, n) bool matrix, adj[u, v] iff (u, v) is an edge."""
         width = -(-self.n // 8)
         rows = b"".join(mask.to_bytes(width, "little") for mask in self._out)
-        packed = np.frombuffer(rows, dtype=np.uint8).reshape(self.n, width)
-        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
+        return _unpacked(np.frombuffer(rows, dtype=np.uint8).reshape(self.n, width))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Digraph is immutable")

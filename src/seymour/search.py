@@ -2,19 +2,17 @@
 
 The exhaustive universe on n vertices assigns each unordered vertex pair
 one of three states (absent / forward / backward), giving 3^(n(n-1)/2)
-labeled graphs.  Graphs are totally ordered by the base-3 state vector
-(pairs ordered (0,1), (0,2), ..., (n-2,n-1), earlier pairs most
-significant), and the index -> graph mapping is a pure function, so index
-ranges partition cleanly across workers.
+labeled graphs, ordered by the base-3 state vector (pairs (0,1), (0,2), ...,
+(n-2,n-1), earlier pairs most significant); index -> graph is a pure
+function, so index ranges partition cleanly across workers.
 
-The hot loop asks one question per graph, "is there a satisfactory
-vertex?", for whole index ranges at once on packed uint8 out-rows (so n <= 8)
-decoded from lookup tables; only the (expected zero) graphs with no such
-vertex are materialized and pushed through the full condition filter.
+Both modes ask "is there a satisfactory vertex?" of a whole chunk in one
+verdict on packed out-rows, whose dtype and word count follow n: exhaustive
+uint8 rows (so n <= 8) decoded from lookup tables, or random samples packed
+as drawn.  Only the (expected zero) graphs without one become Digraphs.
 
-Randomness is implementation-pinned: PCG64 seeded through SeedSequence,
-with the sample at position i drawing from entropy (seed, i), so serial
-and parallel runs agree sample by sample.
+Randomness is implementation-pinned: PCG64 seeded through SeedSequence, and
+sample i draws from entropy (seed, i), so serial and parallel runs agree.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _packed_rows, _unpacked
 from .errors import (
     CeilingExceeded,
     EmptyVertexSet,
@@ -40,7 +38,6 @@ from .filtering import (
     FilterReport,
     run_filter,
 )
-from .structure import has_transitive_triangle
 from .textio import write_digraph
 
 DEFAULT_CEILING = 6
@@ -102,15 +99,26 @@ def _rows_at(n: int, index: int | np.ndarray) -> np.ndarray:
 
 
 def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
-    """Per graph of an (N, n) loop-free row batch, digons allowed: True iff
-    no vertex has |N1| <= |N2|.  Must agree with Digraph.profile."""
-    n = rows.shape[1]
-    cols = rows.T.copy()  # (n, N): each vertex's rows contiguous, for speed
+    """Per graph of an (N, n) or (N, n, W) batch of loop-free out-rows laid
+    out as _packed_rows lays out n vertices, digons allowed: True iff no
+    vertex has |N1| <= |N2|.  Must agree with Digraph.profile."""
+    n, dtype = rows.shape[1], rows.dtype
+    bits, one = 8 * dtype.itemsize, dtype.type(1)
+    cols = np.moveaxis(rows.reshape(len(rows), n, -1), 1, 0).copy()  # (n, N, W): per vertex
     reach2 = np.zeros_like(cols)
     for w in range(n):  # every u with u -> w reaches w's out-row
-        reach2 |= cols[w] & -((cols >> w) & 1)
-    not_self = ~(np.uint8(1) << np.arange(n, dtype=np.uint8))[:, None]
-    return ~(_POPCOUNT[cols] <= _POPCOUNT[reach2 & ~cols & not_self]).any(axis=0)
+        hit = (cols[:, :, w // bits, None] >> dtype.type(w % bits)) & one
+        reach2 |= np.negative(hit, out=hit) & cols[w]
+    own = _packed_rows(np.eye(n, dtype=bool))[:, None]  # bit u of row u
+    count = np.min_scalar_type(n)  # holds any popcount; wider sums cost time
+
+    def sizes(part: np.ndarray) -> np.ndarray:
+        """Row popcounts; take() beats [] but copies indices as intp, so <= 2**16 a call."""
+        step = max(1, 2**16 // part[0].nbytes)  # vertices per call
+        blocks = (part[u : u + step].view(np.uint8) for u in range(0, n, step))
+        return np.concatenate([_POPCOUNT.take(b).sum(axis=2, dtype=count) for b in blocks])
+
+    return ~(sizes(cols) <= sizes(reach2 & ~cols & ~own)).any(axis=0)
 
 
 def graph_at_index(n: int, index: int) -> Digraph:
@@ -122,8 +130,7 @@ def graph_at_index(n: int, index: int) -> Digraph:
     total = space_size(n)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside [0, {total})")
-    adj = np.unpackbits(_rows_at(n, index)[:, None], axis=1, count=n, bitorder="little")
-    return Digraph._from_adjacency(adj.view(bool))
+    return Digraph._from_adjacency(_unpacked(_rows_at(n, index)))
 
 
 def enumerate_digon_free(n: int, ceiling: int = DEFAULT_CEILING) -> Iterator[Digraph]:
@@ -137,88 +144,80 @@ def enumerate_digon_free(n: int, ceiling: int = DEFAULT_CEILING) -> Iterator[Dig
 # -- seeded random models -----------------------------------------------------
 
 
-def _rng(seed: SeedLike) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def _check_probability(p: float | None) -> None:
     if p is None or not 0.0 <= p <= 1.0:
         raise InvalidProbability(p)
 
 
-def _oriented(n: int, present: np.ndarray | bool, forward: np.ndarray) -> Digraph:
+def _oriented(n: int, present: np.ndarray | bool, forward: np.ndarray) -> np.ndarray:
     """Pair k of _pair_index(n), kept where present[k]: u -> v if forward[k]."""
     tails, heads = _pair_index(n)
     adj = np.zeros((n, n), dtype=bool)
     adj[tails, heads] = present & forward
     adj[heads, tails] = present & ~forward
-    return Digraph._from_adjacency(adj)
+    return adj
+
+
+def _has_transitive_triangle(adj: np.ndarray) -> bool:
+    """Matrix form of structure.has_transitive_triangle: some u -> v -> w has u -> w."""
+    a = adj.astype(np.float32)  # BLAS; sums of 0/1 products cannot cancel to 0
+    return bool((a @ a)[adj].any())
+
+
+def _draw_adjacency(
+    model: str, n: int, p: float | None, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
+) -> np.ndarray:
+    """The (n, n) bool matrix of one graph of a model in RANDOM_MODELS, drawn
+    from entropy seed (tournaments ignore p)."""
+    if model not in RANDOM_MODELS:
+        raise ValueError(f"unknown random model {model!r}")
+    if n < 1:
+        raise EmptyVertexSet()
+    if model != "tournament":
+        _check_probability(p)
+    if model == "triangle_free" and max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if model == "tournament":
+        return _oriented(n, True, rng.random(pair_count(n)) < 0.5)
+    if model == "acyclic":  # vertex order[i] -> order[j] for kept pairs i < j
+        rank = np.argsort(np.argsort(rng.random(n), kind="stable"))
+        return _oriented(n, rng.random(pair_count(n)) < p, np.True_)[np.ix_(rank, rank)]
+    # digon_free is one draw; triangle_free redraws until no transitive triangle
+    for _ in range(max_retries if model == "triangle_free" else 1):
+        adj = _oriented(n, rng.random(pair_count(n)) < p, rng.random(pair_count(n)) < 0.5)
+        if model == "digon_free" or not _has_transitive_triangle(adj):
+            return adj
+    raise RetriesExhausted(max_retries)
 
 
 def random_tournament(n: int, seed: SeedLike) -> Digraph:
     """Every unordered pair gets exactly one orientation, coin-flipped."""
-    if n < 1:
-        raise EmptyVertexSet()
-    return _oriented(n, True, _rng(seed).random(pair_count(n)) < 0.5)
-
-
-def _digon_free_draw(n: int, p: float, rng: np.random.Generator) -> Digraph:
-    present = rng.random(pair_count(n)) < p
-    return _oriented(n, present, rng.random(pair_count(n)) < 0.5)
+    return Digraph._from_adjacency(_draw_adjacency("tournament", n, None, seed))
 
 
 def random_digon_free(n: int, p: float, seed: SeedLike) -> Digraph:
     """Each unordered pair is oriented (fair coin) with probability p, else absent."""
-    if n < 1:
-        raise EmptyVertexSet()
-    _check_probability(p)
-    return _digon_free_draw(n, p, _rng(seed))
+    return Digraph._from_adjacency(_draw_adjacency("digon_free", n, p, seed))
 
 
 def random_acyclic(n: int, p: float, seed: SeedLike) -> Digraph:
     """A random topological order with each forward pair kept with probability p."""
-    if n < 1:
-        raise EmptyVertexSet()
-    _check_probability(p)
-    rng = _rng(seed)
-    order = np.argsort(rng.random(n), kind="stable")
-    tails, heads = _pair_index(n)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[order[tails], order[heads]] = rng.random(pair_count(n)) < p
-    return Digraph._from_adjacency(adj)
+    return Digraph._from_adjacency(_draw_adjacency("acyclic", n, p, seed))
 
 
 def random_triangle_free(
     n: int, p: float, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
 ) -> Digraph:
     """Rejection-sample digon-free graphs until none has a transitive triangle."""
-    if n < 1:
-        raise EmptyVertexSet()
-    _check_probability(p)
-    if max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
-    rng = _rng(seed)
-    for _ in range(max_retries):
-        g = _digon_free_draw(n, p, rng)
-        if not has_transitive_triangle(g):
-            return g
-    raise RetriesExhausted(max_retries)
+    return Digraph._from_adjacency(_draw_adjacency("triangle_free", n, p, seed, max_retries))
 
 
 def random_graph(
     model: str, n: int, p: float | None, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
 ) -> Digraph:
-    """One graph of a model in RANDOM_MODELS (tournaments ignore p); models
-    are looked up as module globals per call, so wrappers on them see it."""
-    if model == "tournament":
-        return random_tournament(n, seed)
-    if model == "digon_free":
-        return random_digon_free(n, p, seed)
-    if model == "acyclic":
-        return random_acyclic(n, p, seed)
-    if model == "triangle_free":
-        return random_triangle_free(n, p, seed, max_retries)
-    raise ValueError(f"unknown random model {model!r}")
+    """One graph of a model in RANDOM_MODELS (tournaments ignore p)."""
+    return Digraph._from_adjacency(_draw_adjacency(model, n, p, seed, max_retries))
 
 
 # -- search specification and report ------------------------------------------
@@ -318,45 +317,32 @@ def _record_counterexample(
     result.counterexamples += 1
     if filter_enabled:
         report = run_filter(g, short_circuit=True)
-        if report.survived:
-            result.survivors.append(SurvivorRecord(index, write_digraph(g), report))
-        else:
-            first = report.first_failure
-            assert first is not None
-            result.rejections[first.condition] += 1
     else:
         report = FilterReport([ConditionVerdict(0, PASS)], True, [0])
+    if report.survived:
         result.survivors.append(SurvivorRecord(index, write_digraph(g), report))
-
-
-def _exhaustive_chunk(spec: SearchSpec, start: int, stop: int) -> _ChunkResult:
-    result = _ChunkResult(examined=stop - start)
-    rows = _rows_at(spec.n, np.arange(start, stop, dtype=np.int64))
-    candidates = (np.nonzero(_no_satisfactory_vertex(rows))[0] + start).tolist()
-    result.rejections[0] += result.examined - len(candidates)
-    for index in candidates:
-        g = graph_at_index(spec.n, index)
-        _record_counterexample(g, index, spec.filter_enabled, result)
-    return result
-
-
-def _random_chunk(spec: SearchSpec, start: int, stop: int) -> _ChunkResult:
-    result = _ChunkResult(examined=stop - start)
-    for index in range(start, stop):
-        entropy = (spec.seed, index)
-        g = random_graph(spec.model, spec.n, spec.p, entropy, spec.max_retries)
-        if g.first_satisfactory_vertex() is None:
-            _record_counterexample(g, index, spec.filter_enabled, result)
-        else:
-            result.rejections[0] += 1
-    return result
+    else:
+        result.rejections[report.first_failure.condition] += 1
 
 
 def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
+    """One verdict over a chunk's packed rows; only its candidates become Digraphs."""
     spec, start, stop = task
     if spec.mode == "exhaustive":
-        return _exhaustive_chunk(spec, start, stop)
-    return _random_chunk(spec, start, stop)
+        rows = _rows_at(spec.n, np.arange(start, stop, dtype=np.int64))
+    else:
+        draw = functools.partial(_draw_adjacency, spec.model, spec.n, spec.p)
+        # packed as drawn, so the chunk never holds an (N, n, n) bool stack
+        rows = np.stack(
+            [_packed_rows(draw((spec.seed, i), spec.max_retries)) for i in range(start, stop)]
+        )
+    result = _ChunkResult(examined=stop - start)
+    candidates = np.nonzero(_no_satisfactory_vertex(rows))[0].tolist()
+    result.rejections[0] += result.examined - len(candidates)
+    for i in candidates:
+        g = Digraph._from_adjacency(_unpacked(rows[i]))
+        _record_counterexample(g, start + i, spec.filter_enabled, result)
+    return result
 
 
 def _chunk_tasks(spec: SearchSpec) -> list[tuple[SearchSpec, int, int]]:

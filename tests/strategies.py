@@ -78,3 +78,19 @@ def digon_free_adjacency(draw, max_n=130):
         adj[u, v] = True
     # the reverse of a digon-free graph is one too; .T is a non-contiguous view
     return adj.T if draw(st.booleans()) else adj
+
+
+@st.composite
+def loop_free_adjacency_batches(draw, max_n=130, max_batch=3):
+    """Batches of (n, n) bool matrices without loops, digons allowed.
+
+    Sizes include 1 and both sides of the 64- and 128-bit word boundaries;
+    each matrix has its own density, from empty to complete symmetric.
+    """
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 128, 129, 130]) | st.integers(1, max_n))
+    density = st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    densities = draw(st.lists(density, min_size=1, max_size=max_batch))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = rng.random((len(densities), n, n)) < np.array(densities)[:, None, None]
+    batch[:, np.arange(n), np.arange(n)] = False
+    return batch

@@ -29,6 +29,7 @@ from seymour.errors import (
 )
 from seymour import search
 from seymour.cli import main
+from seymour.digraph import _packed_rows
 from seymour.search import (
     _no_satisfactory_vertex,
     _pair_index,
@@ -36,7 +37,7 @@ from seymour.search import (
     _rows_at,
     pair_count,
 )
-from strategies import loop_free_row_batches
+from strategies import digon_free_adjacency, loop_free_adjacency_batches, loop_free_row_batches
 
 
 def mask_at(n, start, stop):
@@ -47,6 +48,10 @@ def mask_at(n, start, stop):
 def edges_of_rows(rows):
     n = len(rows)
     return [(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1]
+
+
+def edges_of_matrix(adj):
+    return list(zip(*(index.tolist() for index in np.nonzero(adj))))
 
 
 def report_fingerprint(report):
@@ -143,6 +148,39 @@ class TestPackedRowKernel:
             for rows in batch
         ]
         assert verdict.tolist() == expected
+
+    def test_row_dtype_and_word_count_follow_n(self):
+        def layout(n):  # (bytes per word, words per row)
+            rows = _packed_rows(np.zeros((n, n), dtype=bool))
+            return rows.dtype.itemsize, rows.shape[1]
+
+        assert {n: layout(n) for n in (1, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129)} == {
+            1: (1, 1), 8: (1, 1), 9: (2, 1), 16: (2, 1), 17: (4, 1), 32: (4, 1),
+            33: (8, 1), 64: (8, 1), 65: (8, 2), 128: (8, 2), 129: (8, 3),
+        }
+
+    @settings(max_examples=100, deadline=None)  # about half the batches pass 64 vertices
+    @given(loop_free_adjacency_batches())
+    def test_verdict_matches_oracle_on_multi_word_batches(self, batch):
+        rows = np.stack([_packed_rows(adj) for adj in batch])
+        expected = [
+            not oracles.has_satisfactory_vertex(len(adj), edges_of_matrix(adj)) for adj in batch
+        ]
+        assert _no_satisfactory_vertex(rows).tolist() == expected
+
+    # random digon-free draws always have a satisfactory vertex, so without
+    # planted positives past one word a verdict that always answers "none"
+    # would pass every sweep
+    @pytest.mark.parametrize("n", [65, 70, 128, 129, 130])
+    def test_complete_symmetric_graphs_past_one_word_are_counterexamples(self, n):
+        full = ~np.eye(n, dtype=bool)  # every other vertex at distance 1, none at 2
+        sink = full.copy()
+        sink[n - 1] = False  # n - 1 becomes a sink, which is satisfactory
+        via_last = full.copy()
+        via_last[0] = False
+        via_last[0, n - 1] = True  # N1(0) = {n - 1}: N2(0) is in the last word
+        rows = np.stack([_packed_rows(adj) for adj in (full, sink, via_last)])
+        assert _no_satisfactory_vertex(rows).tolist() == [True, False, False]
 
     def test_decode_and_mask_do_not_depend_on_the_split_point(self):
         total = space_size(5)
@@ -478,14 +516,66 @@ def test_pair_index_is_combinations_order():
 
 
 def test_random_mode_looks_models_up_at_call_time(monkeypatch):
-    # profilers wrap the model functions as seymour.search globals
+    # profilers wrap the draw function as a seymour.search global
     calls = []
-    real = search.random_tournament
+    real = search._draw_adjacency
 
-    def recording(n, seed):
+    def recording(model, n, p, seed, max_retries):
         calls.append(seed)
-        return real(n, seed)
+        return real(model, n, p, seed, max_retries)
 
-    monkeypatch.setattr(search, "random_tournament", recording)
+    monkeypatch.setattr(search, "_draw_adjacency", recording)
     run_search(SearchSpec(mode="random", model="tournament", n=5, count=3, seed=8))
     assert calls == [(8, 0), (8, 1), (8, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(digon_free_adjacency())
+def test_matrix_triangle_test_matches_bitset_form(adj):
+    g = Digraph._from_adjacency(adj)
+    assert search._has_transitive_triangle(adj) == has_transitive_triangle(g)
+
+
+def plant_candidate(monkeypatch, model, n, p, seed, k):
+    """Make sample k the one graph the verdict reports, and still run the real one."""
+    planted = _packed_rows(search._draw_adjacency(model, n, p, (seed, k)))
+    real = search._no_satisfactory_vertex
+
+    def verdict(rows):
+        assert not real(rows).any()
+        return (rows == planted).all(axis=(1, 2))
+
+    monkeypatch.setattr(search, "_no_satisfactory_vertex", verdict)
+
+
+@pytest.mark.parametrize("filter_enabled", [False, True])
+def test_planted_random_candidate_is_recorded(monkeypatch, filter_enabled):
+    model, n, p, seed, k = "digon_free", 10, 0.4, 5, 137  # k lies in the second chunk
+    plant_candidate(monkeypatch, model, n, p, seed, k)
+    spec = dict(mode="random", model=model, n=n, p=p, count=300, seed=seed)
+    solo, duo = (
+        run_search(SearchSpec(**spec, workers=workers, filter_enabled=filter_enabled))
+        for workers in (1, 2)
+    )
+    assert report_fingerprint(solo) == report_fingerprint(duo)
+    assert solo.counterexamples_found == 1
+    if filter_enabled:
+        # the drawn graph has a satisfactory vertex, so the filter books condition 0
+        assert solo.filter_survivors == []
+        assert solo.per_condition_rejections == [300] + [0] * 7
+    else:
+        [record] = solo.filter_survivors
+        assert record.index == k
+        assert record.graph_text == write_digraph(search.random_graph(model, n, p, (seed, k)))
+        assert solo.per_condition_rejections == [299] + [0] * 7
+
+
+def test_random_report_does_not_depend_on_chunk_size(monkeypatch):
+    plant_candidate(monkeypatch, "tournament", 9, None, 2, 40)
+    spec = SearchSpec(
+        mode="random", model="tournament", n=9, count=90, seed=2, filter_enabled=False
+    )
+    default = report_fingerprint(run_search(spec))
+    monkeypatch.setattr(search, "_RANDOM_CHUNK", 7)
+    assert report_fingerprint(run_search(spec)) == default
+    assert [record["index"] for record in default["filter_survivors"]] == [40]
