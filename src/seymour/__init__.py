@@ -36,7 +36,6 @@ from .search import (
     space_size,
 )
 from .structure import (
-    INFINITE_GIRTH,
     DiamondWitness,
     diamond_base_targets,
     diamond_witnesses,
@@ -45,7 +44,6 @@ from .structure import (
     is_strongly_connected,
     min_outdegree_vertex,
     triangle_base_count,
-    underlying_girth,
 )
 from .textio import parse_digraph, write_digraph
 from .version import __version__
@@ -76,7 +74,6 @@ __all__ = [
     "random_triangle_free",
     "run_search",
     "space_size",
-    "INFINITE_GIRTH",
     "DiamondWitness",
     "diamond_base_targets",
     "diamond_witnesses",
@@ -85,7 +82,6 @@ __all__ = [
     "is_strongly_connected",
     "min_outdegree_vertex",
     "triangle_base_count",
-    "underlying_girth",
     "parse_digraph",
     "write_digraph",
     "__version__",

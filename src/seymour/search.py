@@ -6,10 +6,12 @@ labeled graphs, ordered by the base-3 state vector (pairs (0,1), (0,2), ...,
 (n-2,n-1), earlier pairs most significant); index -> graph is a pure
 function, so index ranges partition cleanly across workers.
 
-Both modes ask "is there a satisfactory vertex?" of a whole chunk in one
-verdict on packed out-rows, whose dtype and word count follow n: exhaustive
-uint8 rows (so n <= 8) decoded from lookup tables, or random samples packed
-as drawn.  Only the (expected zero) graphs without one become Digraphs.
+Both modes ask "is there a satisfactory vertex?" of a whole chunk at once on
+packed out-rows.  An exhaustive chunk (uint8 rows, so n <= 8) is one prefix,
+the pairs touching the first n - 5 vertices, under all 3^10 graphs on the last
+five, whose rows and two-step reaches are tabled once per n.  Random samples,
+packed as drawn, go through the general verdict, the exhaustive kernel's
+oracle.  Only the (expected zero) graphs without one become Digraphs.
 
 Randomness is implementation-pinned: PCG64 seeded through SeedSequence, and
 sample i draws from entropy (seed, i), so serial and parallel runs agree.
@@ -25,19 +27,8 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .digraph import Digraph, _packed_rows, _unpacked
-from .errors import (
-    CeilingExceeded,
-    EmptyVertexSet,
-    InvalidProbability,
-    RetriesExhausted,
-)
-from .filtering import (
-    CONDITION_COUNT,
-    PASS,
-    ConditionVerdict,
-    FilterReport,
-    run_filter,
-)
+from .errors import CeilingExceeded, EmptyVertexSet, InvalidProbability, RetriesExhausted
+from .filtering import CONDITION_COUNT, PASS, ConditionVerdict, FilterReport, run_filter
 from .textio import write_digraph
 
 DEFAULT_CEILING = 6
@@ -45,7 +36,8 @@ DEFAULT_MAX_RETRIES = 1000  # rejection-sampling attempts per triangle-free grap
 
 RANDOM_MODELS = ("tournament", "digon_free", "acyclic", "triangle_free")
 
-_EXHAUSTIVE_CHUNK = 3**10
+_SUFFIX_VERTICES = 5  # an exhaustive chunk runs over every graph on the last five
+_EXHAUSTIVE_CHUNK = 3**10  # their C(5, 2) pair digits, the least significant
 _RANDOM_CHUNK = 128
 _ROW_WIDTH = 8  # vertices a uint8 out-row can hold
 _GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
@@ -69,6 +61,15 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     tails, heads = np.triu_indices(n, 1)
     tails.flags.writeable = heads.flags.writeable = False  # shared by the cache
     return tails, heads
+
+
+@functools.cache
+def _flat_pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (n * n) positions of u -> v and v -> u for the pairs of _pair_index(n)."""
+    tails, heads = _pair_index(n)
+    ahead, behind = tails * n + heads, heads * n + tails
+    ahead.flags.writeable = behind.flags.writeable = False  # shared by the cache
+    return ahead, behind
 
 
 @functools.cache
@@ -98,17 +99,22 @@ def _rows_at(n: int, index: int | np.ndarray) -> np.ndarray:
     return rows
 
 
+def _two_step(cols: np.ndarray) -> np.ndarray:
+    """Per vertex of (n, N, W) packed out-rows, the OR of its out-neighbours' rows."""
+    bits, word = 8 * cols.itemsize, cols.dtype.type
+    reach2 = np.zeros_like(cols)
+    for w in range(len(cols)):  # every u with u -> w reaches w's out-row
+        hit = (cols[:, :, w // bits, None] >> word(w % bits)) & word(1)
+        reach2 |= np.negative(hit, out=hit) & cols[w]
+    return reach2
+
+
 def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
     """Per graph of an (N, n) or (N, n, W) batch of loop-free out-rows laid
     out as _packed_rows lays out n vertices, digons allowed: True iff no
     vertex has |N1| <= |N2|.  Must agree with Digraph.profile."""
-    n, dtype = rows.shape[1], rows.dtype
-    bits, one = 8 * dtype.itemsize, dtype.type(1)
+    n = rows.shape[1]
     cols = np.moveaxis(rows.reshape(len(rows), n, -1), 1, 0).copy()  # (n, N, W): per vertex
-    reach2 = np.zeros_like(cols)
-    for w in range(n):  # every u with u -> w reaches w's out-row
-        hit = (cols[:, :, w // bits, None] >> dtype.type(w % bits)) & one
-        reach2 |= np.negative(hit, out=hit) & cols[w]
     own = _packed_rows(np.eye(n, dtype=bool))[:, None]  # bit u of row u
     count = np.min_scalar_type(n)  # holds any popcount; wider sums cost time
 
@@ -118,7 +124,40 @@ def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
         blocks = (part[u : u + step].view(np.uint8) for u in range(0, n, step))
         return np.concatenate([_POPCOUNT.take(b).sum(axis=2, dtype=count) for b in blocks])
 
-    return ~(sizes(cols) <= sizes(reach2 & ~cols & ~own)).any(axis=0)
+    return ~(sizes(cols) <= sizes(_two_step(cols) & ~cols & ~own)).any(axis=0)
+
+
+@functools.cache
+def _suffix_table(n: int) -> tuple[np.ndarray, ...]:
+    """Per vertex, over the first chunk (every graph on the last min(n, 5)
+    vertices): out-row S, two-step reach R and popcount of S, each (n, chunk)
+    uint8; the rows of the other vertices are empty."""
+    cols = _rows_at(n, np.arange(min(space_size(n), _EXHAUSTIVE_CHUNK))).T[:, :, None].copy()
+    out = cols[:, :, 0]  # one row a take(), as in _chunk_verdict
+    tables = (out, _two_step(cols)[:, :, 0], np.stack([_POPCOUNT.take(row) for row in out]))
+    for table in tables:
+        table.flags.writeable = False  # shared by every chunk of the cache
+    return tables
+
+
+def _chunk_verdict(n: int, prefix: np.ndarray) -> np.ndarray:
+    """_no_satisfactory_vertex(prefix | S) for each suffix graph S of
+    _suffix_table(n), from prefix rows P: loop-free, digons allowed, and the
+    suffix vertices point only into F, the first n - 5 vertices.  Vertex u
+    has N1 = S[u] | P[u], and reaches in two steps R[u], P[w] and S[w] for
+    w in P[u], and each g in F with an in-neighbour in S[u]."""
+    out, reach, sizes = _suffix_table(n)
+    adj = _unpacked(prefix)
+    n2 = reach | np.bitwise_or.reduce(np.where(adj, prefix, np.uint8(0)), axis=1)[:, None]
+    into = _packed_rows(adj.T)[:, 0]  # bit v of into[g]: v -> g
+    for g in range(max(0, n - _SUFFIX_VERTICES)):  # the other prefix rows hold only F
+        n2[g] |= np.bitwise_or.reduce(out[adj[g]], axis=0)
+        hit = ((out & into[g]) != 0).view(np.uint8)
+        n2 |= np.left_shift(hit, np.uint8(g), out=hit)
+    n2 &= ~(out | _packed_rows(adj | np.eye(n, dtype=bool)))  # N1 and u itself
+    for row in n2:  # take() copies its indices as intp: one row a call bounds that copy
+        _POPCOUNT.take(row, out=row)
+    return ~(n2 >= sizes + _POPCOUNT.take(prefix)[:, None]).any(axis=0)
 
 
 def graph_at_index(n: int, index: int) -> Digraph:
@@ -151,11 +190,11 @@ def _check_probability(p: float | None) -> None:
 
 def _oriented(n: int, present: np.ndarray | bool, forward: np.ndarray) -> np.ndarray:
     """Pair k of _pair_index(n), kept where present[k]: u -> v if forward[k]."""
-    tails, heads = _pair_index(n)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[tails, heads] = present & forward
-    adj[heads, tails] = present & ~forward
-    return adj
+    ahead, behind = _flat_pair_index(n)
+    adj = np.zeros(n * n, dtype=bool)
+    adj[ahead] = present & forward
+    adj[behind] = present & ~forward
+    return adj.reshape(n, n)
 
 
 def _has_transitive_triangle(adj: np.ndarray) -> bool:
@@ -326,35 +365,32 @@ def _record_counterexample(
 
 
 def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
-    """One verdict over a chunk's packed rows; only its candidates become Digraphs."""
+    """One verdict over a chunk; only its candidates become Digraphs."""
     spec, start, stop = task
-    if spec.mode == "exhaustive":
-        rows = _rows_at(spec.n, np.arange(start, stop, dtype=np.int64))
+    if spec.mode == "exhaustive":  # start is a multiple of 3^10: one prefix
+        candidates = np.nonzero(_chunk_verdict(spec.n, _rows_at(spec.n, start)))[0]
+        rows = _rows_at(spec.n, start + candidates)
     else:
         draw = functools.partial(_draw_adjacency, spec.model, spec.n, spec.p)
         # packed as drawn, so the chunk never holds an (N, n, n) bool stack
         rows = np.stack(
             [_packed_rows(draw((spec.seed, i), spec.max_retries)) for i in range(start, stop)]
         )
+        candidates = np.nonzero(_no_satisfactory_vertex(rows))[0]
+        rows = rows[candidates]
     result = _ChunkResult(examined=stop - start)
-    candidates = np.nonzero(_no_satisfactory_vertex(rows))[0].tolist()
     result.rejections[0] += result.examined - len(candidates)
-    for i in candidates:
-        g = Digraph._from_adjacency(_unpacked(rows[i]))
+    for i, row in zip(candidates.tolist(), rows):
+        g = Digraph._from_adjacency(_unpacked(row))
         _record_counterexample(g, start + i, spec.filter_enabled, result)
     return result
 
 
 def _chunk_tasks(spec: SearchSpec) -> list[tuple[SearchSpec, int, int]]:
-    if spec.mode == "exhaustive":
-        total = space_size(spec.n)
-        chunk = _EXHAUSTIVE_CHUNK
-    else:
-        total = spec.count or 0
-        chunk = _RANDOM_CHUNK
-    return [
-        (spec, start, min(start + chunk, total)) for start in range(0, total, chunk)
-    ]
+    exhaustive = spec.mode == "exhaustive"
+    total = space_size(spec.n) if exhaustive else spec.count or 0
+    chunk = _EXHAUSTIVE_CHUNK if exhaustive else _RANDOM_CHUNK
+    return [(spec, start, min(start + chunk, total)) for start in range(0, total, chunk)]
 
 
 def run_search(spec: SearchSpec) -> SearchReport:

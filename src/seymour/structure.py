@@ -1,22 +1,16 @@
 """Structural predicates over digon-free digraphs.
 
-Cycle and connectivity tests, underlying girth, and the two local patterns
+Cycle and connectivity tests, and the two local patterns
 the counterexample filter counts per edge: transitive triangles (an edge
 whose endpoints share an out-neighbor) and 2-directed diamonds (two
 internally disjoint 2-paths from a common tail to a common apex).
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from .digraph import Digraph, Edge, _bits
-
-#: Girth of the undirected shadow: an int >= 3, or math.inf when acyclic.
-GirthValue = float
-
-INFINITE_GIRTH: GirthValue = math.inf
 
 
 @dataclass(frozen=True)
@@ -54,32 +48,6 @@ def has_directed_cycle(g: Digraph) -> bool:
             if indeg[v] == 0:
                 queue.append(v)
     return peeled < g.n
-
-
-def underlying_girth(g: Digraph) -> GirthValue:
-    """Shortest cycle length after forgetting edge directions, or infinity.
-
-    BFS from every vertex on the undirected shadow; a non-tree edge closing
-    two BFS branches bounds the girth, and starting inside a shortest cycle
-    attains it exactly.
-    """
-    shadow = [g._out[u] | g._in[u] for u in range(g.n)]
-    best = INFINITE_GIRTH
-    for start in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in _bits(shadow[x]):
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif y != parent[x] and x != parent[y]:
-                    best = min(best, dist[x] + dist[y] + 1)
-    return best
 
 
 def has_transitive_triangle(g: Digraph) -> bool:

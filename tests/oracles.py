@@ -81,28 +81,6 @@ def has_cycle(n, edges):
     return any(color[v] == 0 and visit(v) for v in range(n))
 
 
-def girth(n, edges):
-    """Shortest undirected cycle: min over edges of (detour distance + 1)."""
-    und = {u: set() for u in range(n)}
-    for u, v in edges:
-        und[u].add(v)
-        und[v].add(u)
-    best = INF
-    for a, b in {(min(u, v), max(u, v)) for u, v in edges}:
-        dist = {a: 0}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            for y in und[x]:
-                if {x, y} == {a, b} or y in dist:
-                    continue
-                dist[y] = dist[x] + 1
-                queue.append(y)
-        if b in dist:
-            best = min(best, dist[b] + 1)
-    return best
-
-
 @functools.lru_cache(maxsize=4)
 def _edge_index(n, edges):
     """(edge set, out-neighbor sets) of an edge tuple.  Cached because the

@@ -31,6 +31,8 @@ from seymour import search
 from seymour.cli import main
 from seymour.digraph import _packed_rows
 from seymour.search import (
+    _EXHAUSTIVE_CHUNK,
+    _chunk_verdict,
     _no_satisfactory_vertex,
     _pair_index,
     _row_tables,
@@ -212,6 +214,7 @@ class TestPackedRowKernel:
 
         monkeypatch.setattr(search, "_chunk_tasks", forbidden)
         monkeypatch.setattr(search, "_rows_at", forbidden)
+        monkeypatch.setattr(search, "_suffix_table", forbidden)
         with pytest.raises(CeilingExceeded) as exc:
             run_search(SearchSpec(mode="exhaustive", n=9, ceiling=9))
         assert exc.value.ceiling == 8
@@ -223,6 +226,87 @@ class TestPackedRowKernel:
         assert main(argv) == 1
         assert "ceiling 8" in capsys.readouterr().err
         SearchSpec(mode="exhaustive", n=8, ceiling=8).validate()
+
+
+def suffix_size(n):
+    return 3 ** min(10, pair_count(n))
+
+
+def suffix_rows(n):
+    """Rows of every graph on the last min(n, 5) vertices, in index order."""
+    return _rows_at(n, np.arange(suffix_size(n), dtype=np.int64))
+
+
+def general_verdict(n, prefix):
+    """The general verdict on prefix | S for every suffix graph S, in index order."""
+    return _no_satisfactory_vertex(suffix_rows(n) | prefix)
+
+
+def joined_prefix(n):
+    """Rows in which the first n - 5 vertices F form a complete symmetric graph
+    and every vertex of F and every vertex of the last five point at each other."""
+    f = n - 5
+    rows = np.zeros(n, dtype=np.uint8)
+    rows[:f] = (1 << n) - 1
+    rows[:f] &= ~(np.uint8(1) << np.arange(f, dtype=np.uint8))  # no loops
+    rows[f:] = (1 << f) - 1
+    return rows
+
+
+class TestPrefixFactoredKernel:
+    """_chunk_verdict against the general verdict on the same rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_agrees_with_general_verdict_on_every_chunk(self, n):
+        assert space_size(n) % suffix_size(n) == 0
+        for start in range(0, space_size(n), suffix_size(n)):
+            prefix = _rows_at(n, start)
+            rows = _rows_at(n, np.arange(start, start + suffix_size(n), dtype=np.int64))
+            assert np.array_equal(suffix_rows(n) | prefix, rows), start  # the chunk factors
+            assert np.array_equal(_chunk_verdict(n, prefix), _no_satisfactory_vertex(rows)), start
+
+    @pytest.mark.parametrize("n, chunks", [(7, 12), (8, 6)])
+    def test_agrees_with_general_verdict_on_sampled_chunks(self, n, chunks):
+        rng = np.random.default_rng(n)
+        for k in rng.integers(0, space_size(n) // suffix_size(n), chunks).tolist():
+            start = k * suffix_size(n)
+            expected = mask_at(n, start, start + suffix_size(n))
+            assert np.array_equal(_chunk_verdict(n, _rows_at(n, start)), expected), start
+
+    # with F joined both ways to everything, F's vertices have N2 empty and a
+    # suffix vertex u has N1 = S[u] + F and N2 = the suffix minus S[u] and u:
+    # u is satisfactory iff 2|S[u]| <= 4 - |F|.  At n = 6 and 7 the graphs left
+    # without one are the 24 regular 5-tournaments.
+    @pytest.mark.parametrize("n, planted", [(6, 24), (7, 24), (8, 16_168)])
+    def test_joined_digon_prefix_plants_counterexamples(self, n, planted):
+        prefix = joined_prefix(n)
+        verdict = _chunk_verdict(n, prefix)
+        assert np.array_equal(verdict, general_verdict(n, prefix))
+        out_degrees = np.unpackbits(suffix_rows(n)[:, n - 5 :, None], axis=2).sum(axis=2)
+        assert np.array_equal(verdict, (2 * out_degrees > 4 - (n - 5)).all(axis=1))
+        assert verdict.sum() == planted
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_random_digon_prefixes_match_the_general_verdict(self, n):
+        rng = np.random.default_rng(100 + n)
+        f, both = n - 5, 0
+        for _ in range(12):
+            adj = rng.random((n, n)) < rng.uniform(0.3, 1.0)
+            adj[f:, f:] = False  # the suffix vertices' prefix rows point only into F
+            np.fill_diagonal(adj, False)
+            prefix = _packed_rows(adj)[:, 0]
+            verdict = _chunk_verdict(n, prefix)
+            assert np.array_equal(verdict, general_verdict(n, prefix))
+            both += verdict.any() and not verdict.all()
+        assert both  # some prefix gives both answers
+
+    def test_prefix_vertex_reached_through_the_suffix(self):
+        # 0 <-> 1 and 2 -> 0 at n=6: a suffix vertex that points to 1 or 2
+        # but not to 0 has 0 in N2; without that, 1,344 graphs would be reported
+        prefix = np.array([0b10, 0b1, 0b1, 0, 0, 0], dtype=np.uint8)
+        verdict = _chunk_verdict(6, prefix)
+        assert np.array_equal(verdict, general_verdict(6, prefix))
+        assert verdict.sum() == 45
 
 
 class TestRandomModels:
@@ -568,6 +652,35 @@ def test_planted_random_candidate_is_recorded(monkeypatch, filter_enabled):
         assert record.index == k
         assert record.graph_text == write_digraph(search.random_graph(model, n, p, (seed, k)))
         assert solo.per_condition_rejections == [299] + [0] * 7
+
+
+@pytest.mark.parametrize("filter_enabled", [False, True])
+def test_planted_exhaustive_candidate_is_recorded(monkeypatch, filter_enabled):
+    n, index = 6, 7 * _EXHAUSTIVE_CHUNK + 31_415
+    start = index - index % _EXHAUSTIVE_CHUNK
+    real = search._chunk_verdict
+
+    def verdict(n, prefix):
+        mask = real(n, prefix)
+        assert not mask.any()
+        if np.array_equal(prefix, _rows_at(n, start)):
+            mask[index - start] = True
+        return mask
+
+    monkeypatch.setattr(search, "_chunk_verdict", verdict)
+    spec = dict(mode="exhaustive", n=n, filter_enabled=filter_enabled)
+    solo, duo = (run_search(SearchSpec(**spec, workers=workers)) for workers in (1, 2))
+    assert report_fingerprint(solo) == report_fingerprint(duo)
+    assert solo.counterexamples_found == 1
+    if filter_enabled:
+        # the graph at index has a satisfactory vertex, so the filter books condition 0
+        assert solo.filter_survivors == []
+        assert solo.per_condition_rejections == [space_size(n)] + [0] * 7
+    else:
+        [record] = solo.filter_survivors
+        assert record.index == index
+        assert record.graph_text == write_digraph(graph_at_index(n, index))
+        assert solo.per_condition_rejections == [space_size(n) - 1] + [0] * 7
 
 
 def test_random_report_does_not_depend_on_chunk_size(monkeypatch):

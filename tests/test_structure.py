@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 
@@ -13,7 +11,6 @@ from seymour import (
     is_strongly_connected,
     min_outdegree_vertex,
     triangle_base_count,
-    underlying_girth,
 )
 from seymour.errors import NoSuchEdge
 from strategies import digraphs, digraphs_with_edge
@@ -54,19 +51,6 @@ def test_directed_cycle():
 @given(digraphs())
 def test_directed_cycle_matches_oracle(g):
     assert has_directed_cycle(g) == oracles.has_cycle(g.n, g.edges)
-
-
-def test_girth_examples():
-    assert underlying_girth(TT) == 3
-    assert underlying_girth(C5) == 5
-    assert underlying_girth(Digraph(4, [(0, 1), (1, 2), (2, 3)])) == math.inf
-    assert underlying_girth(Digraph(1)) == math.inf
-
-
-@settings(max_examples=120, deadline=None)
-@given(digraphs())
-def test_girth_matches_edge_removal_oracle(g):
-    assert underlying_girth(g) == oracles.girth(g.n, g.edges)
 
 
 def test_transitive_triangle_detection():
