@@ -222,9 +222,6 @@ class Digraph:
     def out_degree(self, u: int) -> int:
         return self.out_mask(u).bit_count()
 
-    def in_degree(self, u: int) -> int:
-        return self.in_mask(u).bit_count()
-
     def vertices(self) -> range:
         return range(self.n)
 

@@ -41,7 +41,6 @@ _EXHAUSTIVE_CHUNK = 3**10  # their C(5, 2) pair digits, the least significant
 _RANDOM_CHUNK = 128
 _ROW_WIDTH = 8  # vertices a uint8 out-row can hold
 _GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 SeedLike = int | tuple[int, ...]
 
@@ -109,6 +108,18 @@ def _two_step(cols: np.ndarray) -> np.ndarray:
     return reach2
 
 
+def _popcount(bits: np.ndarray) -> np.ndarray:
+    """Set bits of each byte of a uint8 array, as a new array: byte-wise SWAR
+    with one scratch array, and bits is only read."""
+    x = bits - (bits >> np.uint8(1) & np.uint8(0x55))  # per bit pair
+    t = x >> np.uint8(2)
+    t &= np.uint8(0x33)
+    x &= np.uint8(0x33)
+    x += t  # per nibble
+    x += np.right_shift(x, np.uint8(4), out=t)
+    return np.bitwise_and(x, np.uint8(0x0F), out=x)
+
+
 def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
     """Per graph of an (N, n) or (N, n, W) batch of loop-free out-rows laid
     out as _packed_rows lays out n vertices, digons allowed: True iff no
@@ -117,14 +128,9 @@ def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
     cols = np.moveaxis(rows.reshape(len(rows), n, -1), 1, 0).copy()  # (n, N, W): per vertex
     own = _packed_rows(np.eye(n, dtype=bool))[:, None]  # bit u of row u
     count = np.min_scalar_type(n)  # holds any popcount; wider sums cost time
-
-    def sizes(part: np.ndarray) -> np.ndarray:
-        """Row popcounts; take() beats [] but copies indices as intp, so <= 2**16 a call."""
-        step = max(1, 2**16 // part[0].nbytes)  # vertices per call
-        blocks = (part[u : u + step].view(np.uint8) for u in range(0, n, step))
-        return np.concatenate([_POPCOUNT.take(b).sum(axis=2, dtype=count) for b in blocks])
-
-    return ~(sizes(cols) <= sizes(_two_step(cols) & ~cols & ~own)).any(axis=0)
+    n1 = _popcount(cols.view(np.uint8)).sum(axis=2, dtype=count)
+    n2 = _popcount((_two_step(cols) & ~cols & ~own).view(np.uint8)).sum(axis=2, dtype=count)
+    return ~(n1 <= n2).any(axis=0)
 
 
 @functools.cache
@@ -133,8 +139,7 @@ def _suffix_table(n: int) -> tuple[np.ndarray, ...]:
     vertices): out-row S, two-step reach R and popcount of S, each (n, chunk)
     uint8; the rows of the other vertices are empty."""
     cols = _rows_at(n, np.arange(min(space_size(n), _EXHAUSTIVE_CHUNK))).T[:, :, None].copy()
-    out = cols[:, :, 0]  # one row a take(), as in _chunk_verdict
-    tables = (out, _two_step(cols)[:, :, 0], np.stack([_POPCOUNT.take(row) for row in out]))
+    tables = (cols[:, :, 0], _two_step(cols)[:, :, 0], _popcount(cols[:, :, 0]))
     for table in tables:
         table.flags.writeable = False  # shared by every chunk of the cache
     return tables
@@ -155,9 +160,7 @@ def _chunk_verdict(n: int, prefix: np.ndarray) -> np.ndarray:
         hit = ((out & into[g]) != 0).view(np.uint8)
         n2 |= np.left_shift(hit, np.uint8(g), out=hit)
     n2 &= ~(out | _packed_rows(adj | np.eye(n, dtype=bool)))  # N1 and u itself
-    for row in n2:  # take() copies its indices as intp: one row a call bounds that copy
-        _POPCOUNT.take(row, out=row)
-    return ~(n2 >= sizes + _POPCOUNT.take(prefix)[:, None]).any(axis=0)
+    return ~(_popcount(n2) >= sizes + _popcount(prefix)[:, None]).any(axis=0)
 
 
 def graph_at_index(n: int, index: int) -> Digraph:

@@ -35,8 +35,10 @@ from seymour.search import (
     _chunk_verdict,
     _no_satisfactory_vertex,
     _pair_index,
+    _popcount,
     _row_tables,
     _rows_at,
+    _suffix_table,
     pair_count,
 )
 from strategies import digon_free_adjacency, loop_free_adjacency_batches, loop_free_row_batches
@@ -307,6 +309,65 @@ class TestPrefixFactoredKernel:
         verdict = _chunk_verdict(6, prefix)
         assert np.array_equal(verdict, general_verdict(6, prefix))
         assert verdict.sum() == 45
+
+
+def word_value(row):
+    """The packed row as one int: word k holds bits k * width ... (k + 1) * width - 1."""
+    width = 8 * row.itemsize
+    return sum(int(word) << (width * k) for k, word in enumerate(row.tolist()))
+
+
+class TestPopcount:
+    """_popcount, the one bit count of both verdicts, against Python's."""
+
+    def test_every_byte_value(self):
+        values = np.arange(256, dtype=np.uint8)
+        assert _popcount(values).tolist() == [b.bit_count() for b in range(256)]
+        assert values.tolist() == list(range(256))  # only read
+
+    # uint8, uint16, uint32 and uint64 rows, then two and three words (as
+    # test_row_dtype_and_word_count_follow_n pins); the matrices keep their
+    # diagonals so every bit of a word can be set, and the full ones are all ones
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 16, 17, 32, 33, 63, 64, 65, 100, 128, 129])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 0.7, 1.0])
+    def test_row_sums_match_bin_count_for_every_row_layout(self, n, density):
+        adj = np.random.default_rng(n).random((n, n)) < density
+        rows = _packed_rows(adj)  # (n, W)
+        sums = _popcount(rows.view(np.uint8)).sum(axis=1)
+        assert sums.tolist() == [bin(word_value(row)).count("1") for row in rows]
+        assert sums.tolist() == adj.sum(axis=1).tolist()
+
+
+class TestVerdictsLeaveInputsAlone:
+    """Neither verdict writes to its input or to the suffix tables.  A bit
+    count that wrote over the prefix would change no search result, since
+    the search decodes each prefix afresh, so only these tests see it."""
+
+    @pytest.mark.parametrize("n", [1, 4, 6, 7, 8])
+    def test_chunk_verdict_keeps_prefix_and_suffix_tables(self, n):
+        tables = _suffix_table(n)
+        before = [table.tobytes() for table in tables]
+        prefixes = [_rows_at(n, 0), _rows_at(n, space_size(n) - suffix_size(n))]
+        if n >= 6:
+            prefixes.append(joined_prefix(n))
+        for prefix in prefixes:
+            kept = prefix.tobytes()
+            _chunk_verdict(n, prefix)
+            assert prefix.tobytes() == kept
+        assert _suffix_table(n) is tables
+        assert [table.tobytes() for table in tables] == before
+        assert not any(table.flags.writeable for table in tables)
+
+    @pytest.mark.parametrize("n", [3, 6, 9, 20, 40, 64, 70, 129])
+    def test_general_verdict_keeps_its_rows(self, n):
+        full = ~np.eye(n, dtype=bool)  # complete symmetric: no satisfactory vertex
+        rng = np.random.default_rng(n)
+        batch = [full] + [(rng.random((n, n)) < 0.5) & full for _ in range(5)]
+        rows = np.stack([_packed_rows(adj) for adj in batch])  # (N, n, W)
+        for form in [rows, rows[:, :, 0].copy()] if rows.shape[2] == 1 else [rows]:
+            kept = form.tobytes()
+            assert _no_satisfactory_vertex(form)[0]
+            assert form.tobytes() == kept
 
 
 class TestRandomModels:
