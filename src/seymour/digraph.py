@@ -13,7 +13,9 @@ a large finite stand-in.
 All derivation operations (edge/vertex deletion, induced subgraphs) return
 new graphs; values are safe to share between concurrent workers.
 
-``_add_edge`` is the one edge check.  ``Digraph(n, edges)`` runs it over the
+``_checked_parts`` is the one edge check, vectorised over a whole edge list:
+it reports the first bad position and builds the sorted edges and both row
+tuples without an (n, n) matrix.  ``Digraph(n, edges)`` runs it over the
 sorted edges, for user input; ``parse_digraph`` runs it in line order, so
 errors carry line numbers, and then calls ``Digraph._from_parts``.  That and
 ``Digraph._from_adjacency(adj)`` (from an (n, n) bool matrix) check nothing:
@@ -24,7 +26,9 @@ decodes or draws, and ``build_product``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from operator import index
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -52,21 +56,58 @@ def _bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def _add_edge(out: list[int], inn: list[int], u: int, v: int, line: int | None = None) -> None:
-    """Check edge (u, v) against the rows built so far, then add it to them."""
-    n = len(out)
-    if not 0 <= u < n:
-        raise VertexOutOfRange(u, n, line=line)
-    if not 0 <= v < n:
-        raise VertexOutOfRange(v, n, line=line)
-    if u == v:
-        raise LoopEdge(u, line=line)
-    if out[u] >> v & 1:
-        raise DuplicateEdge(u, v, line=line)
-    if out[v] >> u & 1:
-        raise DigonPair(u, v, line=line)
-    out[u] |= 1 << v
-    inn[v] |= 1 << u
+def _checked_parts(
+    n: int, values: list[int], line_of: Callable[[int], int | None] = lambda i: None
+) -> tuple[tuple[Edge, ...], Rows, Rows]:
+    """The one edge check: the sorted edges, out-rows and in-rows of the edges
+    (values[2i], values[2i + 1]), i = 0, 1, ... in input order.
+
+    The first bad position i raises, with line ``line_of(i)``; at one position
+    the tail's range comes first, then the head's, a loop, a duplicate and a
+    digon (its vertex pair on an earlier position, in the same or the other
+    orientation).  Pair and edge keys are u*s + v with s = 64 * ceil(n / 64),
+    which fit int64 for any n whose rows fit in memory.
+    """
+    try:
+        flat = np.fromiter(values, np.int64, len(values))
+    except OverflowError:  # past int64 is out of range for every n
+        flat = np.array([v if 0 <= v < n else -1 for v in values], dtype=np.int64)
+    tails, heads = flat[0::2], flat[1::2]
+    stride = -(-n // 64) * 64
+    pair = np.minimum(tails, heads) * stride + np.maximum(tails, heads)
+    order = np.argsort(pair, kind="stable")  # equal pairs keep their positions' order
+    pairs = pair[order]
+    again = np.zeros(len(pair), dtype=bool)  # the pair is on an earlier position too
+    again[order[1:]] = pairs[1:] == pairs[:-1]
+    bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads) | again
+    if bad.any():
+        i = int(bad.argmax())
+        u, v = values[2 * i], values[2 * i + 1]
+        line = line_of(i)
+        if not 0 <= u < n:
+            raise VertexOutOfRange(u, n, line=line)
+        if not 0 <= v < n:
+            raise VertexOutOfRange(v, n, line=line)
+        if u == v:
+            raise LoopEdge(u, line=line)
+        first = order[np.searchsorted(pairs, pair[i])]  # i is the first bad: one earlier
+        raise (DuplicateEdge if values[2 * first] == u else DigonPair)(u, v, line=line)
+    keys = np.sort(tails * stride + heads)
+    edges = tuple(zip((keys // stride).tolist(), (keys % stride).tolist()))
+    return edges, _rows(n, stride, keys), _rows(n, stride, np.sort(heads * stride + tails))
+
+
+def _rows(n: int, stride: int, keys: np.ndarray) -> Rows:
+    """Row r as an int with bit c set for each r*stride + c of the sorted keys,
+    OR-ing the keys' bits per (row, 64-bit word) group, never an (n, n) matrix."""
+    groups, starts = np.unique(keys >> 6, return_index=True)  # row * stride / 64 + word
+    bits = np.left_shift(np.uint64(1), (keys & 63).astype(np.uint64))
+    row, word = np.divmod(groups, stride // 64)
+    words = np.bitwise_or.reduceat(bits, starts)
+    rows = [0] * n
+    for r, shift, value in zip(row.tolist(), (64 * word).tolist(), words.tolist()):
+        rows[r] |= value << shift
+    return tuple(rows)
 
 
 def _packed_rows(adj: np.ndarray) -> np.ndarray:
@@ -133,12 +174,8 @@ class Digraph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 1:
             raise EmptyVertexSet()
-        ordered = sorted(tuple(e) for e in edges)
-        out_masks = [0] * n
-        in_masks = [0] * n
-        for u, v in ordered:
-            _add_edge(out_masks, in_masks, u, v)
-        parts = (n, tuple(ordered), tuple(out_masks), tuple(in_masks))
+        ordered = sorted((index(u), index(v)) for u, v in edges)
+        parts = (n, *_checked_parts(n, list(chain.from_iterable(ordered))))
         for name, value in zip(self.__slots__, parts):
             object.__setattr__(self, name, value)
 

@@ -52,6 +52,10 @@ class VertexOutOfRange(DigraphError):
 class EmptyVertexSet(DigraphError):
     template = "a digraph needs at least one vertex"
 
+class TooManyVertices(DigraphError):
+    fields = ("n", "limit")
+    template = "{n} vertices exceed the limit of {limit}"
+
 class NonPositiveK(DigraphError):
     fields = ("k",)
     template = "neighborhood layer index must be >= 1, got {k}"

@@ -86,7 +86,7 @@ class FilterReport:
 
 
 def _missing(g: Digraph, edge: Edge, walks: tuple[int, int]) -> int:
-    """{v} ∪ N1(v) minus what u reaches avoiding ``edge`` = (u,v), given ``_two_walks(g, u)``.
+    """{v} ∪ N1(v) minus what u reaches avoiding ``edge`` = (u,v), given u's two-walk masks.
 
     A 2-walk u -> a -> w uses (u,v) iff a = v, so w in N1(v) is reached iff at
     least two 2-walks end there, and v (never its own midpoint) iff one does."""
@@ -104,25 +104,42 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
     (covered, missing); the two sets partition {v} ∪ N1(v).
     """
     u, v = g._require_edge(edge)
-    missing = _missing(g, (u, v), _two_walks(g, u))
+    missing = _missing(g, (u, v), _two_walks(g._out, _bits(g._out[u])))
     return set(_bits((g._out[v] | 1 << v) & ~missing)), set(_bits(missing))
 
 
 class _Facts:
-    """Per-graph facts the checks share, each computed on first use: every
-    vertex's anti-satisfaction (conditions 0, 2, 6, 7) and ``_two_walks``
-    (3, 4, 5; O(n·d) once, so those conditions cost O(1) per edge)."""
+    """Per-graph facts the checks share, each computed on first use: the
+    out-neighbour lists, every vertex's anti-satisfaction (conditions 0, 2,
+    6, 7) and ``_two_walks`` (3, 4, 5; O(n·d) once, so those conditions cost
+    O(1) per edge)."""
 
     def __init__(self, g: Digraph):
         self.g = g
 
     @cached_property
+    def succ(self) -> list[list[int]]:
+        """Ascending out-neighbours of each vertex, from one pass over the sorted edges."""
+        succ: list[list[int]] = [[] for _ in range(self.g.n)]
+        for u, v in self.g.edges:
+            succ[u].append(v)
+        return succ
+
+    @cached_property
     def anti(self) -> list[int]:
-        return [p.anti_satisfaction for p in self.g.profiles()]
+        """|N1(u)| - |N2(u)| per vertex u, as Digraph.profile counts them."""
+        out = self.g._out
+        anti = []
+        for u, heads in enumerate(self.succ):
+            reach = 0
+            for v in heads:
+                reach |= out[v]
+            anti.append(len(heads) - (reach & ~out[u]).bit_count())  # no digon: u not in reach
+        return anti
 
     @cached_property
     def walks(self) -> list[tuple[int, int]]:
-        return [_two_walks(self.g, x) for x in range(self.g.n)]
+        return [_two_walks(self.g._out, heads) for heads in self.succ]
 
 
 def _check_no_satisfactory(g: Digraph, facts: _Facts) -> ConditionVerdict:

@@ -129,7 +129,11 @@ def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
     own = _packed_rows(np.eye(n, dtype=bool))[:, None]  # bit u of row u
     count = np.min_scalar_type(n)  # holds any popcount; wider sums cost time
     n1 = _popcount(cols.view(np.uint8)).sum(axis=2, dtype=count)
-    n2 = _popcount((_two_step(cols) & ~cols & ~own).view(np.uint8)).sum(axis=2, dtype=count)
+    reach = _two_step(cols)
+    reach &= ~cols
+    reach &= ~own
+    del cols  # not held through the N2 popcount
+    n2 = _popcount(reach.view(np.uint8)).sum(axis=2, dtype=count)
     return ~(n1 <= n2).any(axis=0)
 
 

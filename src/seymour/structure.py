@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .digraph import Digraph, Edge, _bits
 
@@ -61,17 +62,18 @@ def triangle_base_count(g: Digraph, edge: Edge) -> int:
     return (g._out[u] & g._out[v]).bit_count()
 
 
-def _two_walks(g: Digraph, x: int) -> tuple[int, int]:
-    """Bitsets of the vertices that end at least one, and at least two, 2-walks from x."""
+def _two_walks(rows: tuple[int, ...], mids: Iterable[int]) -> tuple[int, int]:
+    """Bitsets of the vertices that end at least one, and at least two, 2-walks
+    x -> a -> w with a in ``mids``, the out-neighbours of x, and ``rows`` the out-rows."""
     once = twice = 0
-    for a in _bits(g._out[x]):
-        twice |= once & g._out[a]
-        once |= g._out[a]
+    for a in mids:
+        twice |= once & rows[a]
+        once |= rows[a]
     return once, twice
 
 
 def _apex_mask(g: Digraph, edge: Edge, walks: tuple[int, int]) -> int:
-    """Diamond apexes of ``edge`` = (t,u) as a bitset, given ``_two_walks(g, t)``."""
+    """Diamond apexes of ``edge`` = (t,u) as a bitset, given the two-walk masks of t."""
     return g._out[edge[1]] & walks[1]
 
 
@@ -87,7 +89,7 @@ def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
     to recover the (v,w) pairs.
     """
     t, u = g._require_edge(edge)
-    return set(_bits(_apex_mask(g, (t, u), _two_walks(g, t))))
+    return set(_bits(_apex_mask(g, (t, u), _two_walks(g._out, _bits(g._out[t])))))
 
 
 def diamond_witnesses(g: Digraph, edge: Edge) -> list[DiamondWitness]:

@@ -1,66 +1,92 @@
 """Bit-exact text format for digraphs.
 
 A document is a header line ``n m`` followed by exactly m edge lines
-``u v`` (0-indexed, tail then head).  Lines starting with ``#`` and blank
-lines are ignored; the newline is a single line feed.  Writing emits edges
-in canonical sorted order, so parse(write(g)) reproduces g exactly and
-equal graphs serialize to identical bytes.
+``u v`` (0-indexed, tail then head).  Lines are separated by the line feed
+alone; every other ``str.isspace`` character (space, tab, ``\\r``, ``\\x0b``,
+``\\x1c``, ``\\u3000``, ...) is a blank, so CRLF documents parse.  A line
+that is blank, or whose first non-blank character is ``#``, is ignored;
+every other line holds exactly two tokens separated by blanks, and a token
+is any string ``int()`` accepts (``+1``, ``1_0``, ``٣``).  The header's n
+must lie in [1, MAX_VERTICES].  Writing emits edges in canonical sorted
+order, so parse(write(g)) reproduces g exactly and equal graphs serialize
+to identical bytes.
 
-Parse errors carry the 1-based line number of the offending input line.
+Parse errors carry the 1-based line number of the offending input line,
+checked in this order: the header (two integers, then n >= 1,
+n <= MAX_VERTICES and m >= 0), the count of edge lines against m, then the
+first bad edge line.  On that line: not two integers, tail out of range,
+head out of range, a loop, a duplicate of an earlier line, a digon with an
+earlier line (the last five are ``digraph._checked_parts``).
 """
 from __future__ import annotations
 
-from .digraph import Digraph, _add_edge
-from .errors import CountMismatch, EmptyVertexSet, GraphSyntaxError
+import re
+from contextlib import suppress
+from itertools import chain
+
+from .digraph import Digraph, _checked_parts
+from .errors import CountMismatch, EmptyVertexSet, GraphSyntaxError, TooManyVertices
+
+#: Largest header n, so a hostile header cannot make the parser allocate two
+#: huge tuples of rows; the edge check's keys, below (n + 64) * n, fit int64.
+MAX_VERTICES = 1 << 17
+
+# a line whose first non-blank is "#"; [^\S\n] is a blank, as \s is str.isspace
+_COMMENT = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((lineno, stripped))
-    return out
-
-
-def _two_ints(lineno: int, content: str, what: str) -> tuple[int, int]:
-    tokens = content.split()
+def _pair(tokens: list[str]) -> list[int] | None:
+    """The two integers of a line's tokens, or None if they are not two integers."""
     try:
-        if len(tokens) == 2:
-            return int(tokens[0]), int(tokens[1])
+        return list(map(int, tokens)) if len(tokens) == 2 else None
     except ValueError:
-        pass
-    raise GraphSyntaxError(lineno, f"expected two integers ({what}), got {content!r}")
+        return None
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse a graph document; malformed input never yields a Digraph."""
-    lines = _significant_lines(text)
-    if not lines:
+    body = _COMMENT.sub("", text) if "#" in text else text  # comment lines become blank
+
+    def significant() -> list[tuple[int, list[str]]]:  # on the error paths only
+        return [(no, row) for no, row in enumerate(map(str.split, body.split("\n")), 1) if row]
+
+    def line(i: int) -> int:  # the number of the i-th line that is not blank
+        return significant()[i][0]
+
+    def syntax_error(i: int, what: str) -> GraphSyntaxError:
+        content = body.split("\n")[line(i) - 1].strip()
+        return GraphSyntaxError(line(i), f"expected two integers ({what}), got {content!r}")
+
+    values = None  # every line's integers, unless some line is not two integers
+    # the line list is not kept through the tokenizing, to halve the peak memory
+    if set(map(len, map(str.split, body.split("\n")))) <= {0, 2}:
+        with suppress(ValueError):
+            values = list(map(int, body.split()))
+    bad = None  # the index among the lines that are not blank of the first such line
+    if values is None:
+        pairs = [_pair(row) for _, row in significant()]
+        bad = pairs.index(None)
+        values = list(chain.from_iterable(pairs[:bad]))  # the lines before it
+    if bad == 0:
+        raise syntax_error(0, "vertex and edge count")
+    if not values:
         raise GraphSyntaxError(1, "missing 'n m' header")
-    header_line, header = lines[0]
-    n, m = _two_ints(header_line, header, "vertex and edge count")
+    n, m = values[0], values[1]
     if n < 1:
-        raise EmptyVertexSet(line=header_line)
+        raise EmptyVertexSet(line=line(0))
+    if n > MAX_VERTICES:
+        raise TooManyVertices(n, MAX_VERTICES, line=line(0))
     if m < 0:
-        raise GraphSyntaxError(header_line, f"negative edge count {m}")
-    edge_lines = lines[1:]
-    if len(edge_lines) != m:
-        raise CountMismatch(m, len(edge_lines))
-    edges: list[tuple[int, int]] = []
-    out = [0] * n
-    inn = [0] * n
-    for lineno, content in edge_lines:
-        u, v = _two_ints(lineno, content, "edge tail and head")
-        _add_edge(out, inn, u, v, line=lineno)  # the first bad line is reported
-        edges.append((u, v))
-    # every edge was checked above, so skip the constructor's second pass
-    return Digraph._from_parts(tuple(sorted(edges)), tuple(out), tuple(inn))
+        raise GraphSyntaxError(line(0), f"negative edge count {m}")
+    edge_lines = len(values) // 2 - 1 if bad is None else len(pairs) - 1
+    if edge_lines != m:
+        raise CountMismatch(m, edge_lines)
+    parts = _checked_parts(n, values[2:], lambda i: line(i + 1))
+    if bad is not None:
+        raise syntax_error(bad, "edge tail and head")
+    return Digraph._from_parts(*parts)
 
 
 def write_digraph(g: Digraph) -> str:
     """Canonical document for g; deterministic bytes for equal graphs."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {g.m}\n" + "%d %d\n" * g.m % tuple(chain.from_iterable(g.edges))

@@ -11,6 +11,17 @@ import itertools
 import math
 from collections import deque
 
+from seymour.errors import (
+    CountMismatch,
+    DigonPair,
+    DuplicateEdge,
+    EmptyVertexSet,
+    GraphSyntaxError,
+    LoopEdge,
+    TooManyVertices,
+    VertexOutOfRange,
+)
+
 INF = math.inf
 
 
@@ -269,3 +280,75 @@ CONDITION_ORACLES = {
     6: cond6,
     7: cond7,
 }
+
+
+# -- the edge check and the parser, one edge and one line at a time -----------
+# These raise the package's error types, so their errors compare with its own;
+# the rows are int bitsets (bit v of row u: edge u -> v), as Digraph keeps them.
+
+
+def add_edge(out, inn, u, v, line=None):
+    """Check edge (u, v) against the rows built so far, then add it to them."""
+    n = len(out)
+    if not 0 <= u < n:
+        raise VertexOutOfRange(u, n, line=line)
+    if not 0 <= v < n:
+        raise VertexOutOfRange(v, n, line=line)
+    if u == v:
+        raise LoopEdge(u, line=line)
+    if out[u] >> v & 1:
+        raise DuplicateEdge(u, v, line=line)
+    if out[v] >> u & 1:
+        raise DigonPair(u, v, line=line)
+    out[u] |= 1 << v
+    inn[v] |= 1 << u
+
+
+def digraph_parts(n, edges):
+    """(edges, out-rows, in-rows) of Digraph(n, edges): the edges are checked
+    in sorted order, so the first bad one in that order is reported."""
+    ordered = sorted(tuple(e) for e in edges)
+    out, inn = [0] * n, [0] * n
+    for u, v in ordered:
+        add_edge(out, inn, u, v)
+    return tuple(ordered), tuple(out), tuple(inn)
+
+
+def _two_ints(lineno, content, what):
+    tokens = content.split()
+    try:
+        if len(tokens) == 2:
+            return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        pass
+    raise GraphSyntaxError(lineno, f"expected two integers ({what}), got {content!r}")
+
+
+def parse_reference(text, max_vertices):
+    """(edges, out-rows, in-rows) of a graph document, line by line: every
+    error of parse_digraph, with its line, in the same order."""
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append((lineno, stripped))
+    if not lines:
+        raise GraphSyntaxError(1, "missing 'n m' header")
+    header_line, header = lines[0]
+    n, m = _two_ints(header_line, header, "vertex and edge count")
+    if n < 1:
+        raise EmptyVertexSet(line=header_line)
+    if n > max_vertices:
+        raise TooManyVertices(n, max_vertices, line=header_line)
+    if m < 0:
+        raise GraphSyntaxError(header_line, f"negative edge count {m}")
+    edge_lines = lines[1:]
+    if len(edge_lines) != m:
+        raise CountMismatch(m, len(edge_lines))
+    edges = []
+    out, inn = [0] * n, [0] * n
+    for lineno, content in edge_lines:
+        u, v = _two_ints(lineno, content, "edge tail and head")
+        add_edge(out, inn, u, v, line=lineno)
+        edges.append((u, v))
+    return tuple(sorted(edges)), tuple(out), tuple(inn)

@@ -1,0 +1,143 @@
+"""The vectorised edge check and parser against their one-at-a-time references."""
+import tracemalloc
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from seymour import Digraph, parse_digraph
+from seymour.errors import DigraphError, TooManyVertices
+from seymour.textio import MAX_VERTICES
+from strategies import digraphs
+
+# int() accepts the first row and rejects the second; -1 and the 20-digit
+# token are never vertex ids
+TOKENS = [
+    "0", "1", "2", "3", "+1", "-1", "1_0", "٣", "99999999999999999999",
+    "x", "#", "0x1", "1.5",
+]
+# str.isspace characters other than the line feed, \r among them for CRLF
+BLANKS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\u3000"]
+MUTATIONS = [
+    "blank", "comment", "token", "trailer", "drop", "copy", "reverse", "loop", "edge", "cut"
+]
+
+
+def _significant(row):
+    return bool(row) and not row[0].startswith("#")
+
+
+@st.composite
+def documents(draw):
+    """The document of a digraph, its edge lines shuffled, then mutated; the
+    larger graphs have enough edges that numpy's unstable sorts reorder keys."""
+    g = draw(digraphs(max_n=5) | digraphs(min_n=12, max_n=14))
+    rows = [[str(g.n), str(g.m)]] + draw(st.permutations([[str(u), str(v)] for u, v in g.edges]))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(rows)))  # where a new line goes
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind == "blank":
+            rows.insert(at, [])
+        elif kind == "comment":
+            rows.insert(at, draw(st.sampled_from([["#"], ["#", "x"], ["#0", "1"]])))
+        elif kind == "token" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(TOKENS))
+        elif kind == "trailer":
+            row.extend(draw(st.sampled_from([["#", "x"], ["#x"], ["0"]])))  # "0 1 # x"
+        elif kind == "drop":
+            rows.remove(row)
+        elif kind == "copy":
+            rows.insert(at, list(row))
+        elif kind == "reverse":
+            rows.insert(at, row[::-1])
+        elif kind == "loop":
+            rows.insert(at, [draw(st.sampled_from(TOKENS[:4]))] * 2)
+        elif kind == "edge":
+            rows.insert(at, draw(st.lists(st.sampled_from(TOKENS), min_size=2, max_size=2)))
+        elif kind == "cut":
+            del row[1:]
+        rows = rows or [[]]
+    significant = [row for row in rows if _significant(row)]
+    if significant and len(significant[0]) > 1 and draw(st.booleans()):
+        significant[0][1] = str(len(significant) - 1)  # the header counts the edge lines
+    blanks = st.text(st.sampled_from(BLANKS), max_size=2)
+    separator = st.text(st.sampled_from(BLANKS), min_size=1, max_size=2)
+    lines = [draw(blanks) + draw(separator).join(row) + draw(blanks) for row in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(call):
+    """The call's value, or its error as (type, message, line)."""
+    try:
+        return call()
+    except DigraphError as exc:
+        return type(exc).__name__, str(exc), exc.line
+
+
+def _parts(g):
+    return g.edges, g._out, g._in
+
+
+def _agree(text):
+    parsed = _outcome(lambda: _parts(parse_digraph(text)))
+    assert parsed == _outcome(lambda: oracles.parse_reference(text, MAX_VERTICES))
+    return parsed
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+@example("3 2\r\n0\t1\r\n# x\r\n\x0b\x1c1 2\u3000\r\n")
+@example("  # indented\n+1 1_0\n\n0 ٣\n")
+@example("99999999999999999999 0\n")
+@example("3 1\n0 99999999999999999999\n")
+def test_parser_matches_the_line_by_line_reference(text):
+    _agree(text)
+
+
+# documents with two errors: the fixed precedence decides which one is reported
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        pytest.param("3 3\n0 x\n0 1\n1 0\n", "GraphSyntaxError", 2, id="syntax-then-digon"),
+        pytest.param("3 3\n0 1\n1 0\n0 x\n", "DigonPair", 3, id="digon-then-syntax"),
+        pytest.param("3 3\n0 1\n1 0 # x\n1 0\n", "GraphSyntaxError", 3, id="trailer-then-digon"),
+        pytest.param("3 3\n0 1\n0 1\n1 0\n", "DuplicateEdge", 3, id="duplicate-then-digon"),
+        pytest.param("3 3\n0 1\n1 0\n0 1\n", "DigonPair", 3, id="digon-then-duplicate"),
+        pytest.param("3 2\n0 x\n", "CountMismatch", None, id="count-before-syntax"),
+        pytest.param("3 x\n0 9\n", "GraphSyntaxError", 1, id="header-first"),
+    ],
+)
+def test_first_of_two_errors(text, error, line):
+    kind, _, got = _agree(text)
+    assert (kind, got) == (error, line)
+
+
+ENDPOINTS = st.integers(-1, 5) | st.sampled_from([2**63, -(2**70)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=10))
+def test_constructor_reports_the_first_bad_edge_in_sorted_order(n, edges):
+    assert _outcome(lambda: _parts(Digraph(n, edges))) == _outcome(
+        lambda: oracles.digraph_parts(n, edges)
+    )
+
+
+def test_header_above_the_limit_is_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyVertices) as exc:
+            parse_digraph("1000000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.n, exc.value.limit, exc.value.line) == (10**9, MAX_VERTICES, 1)
+    assert peak < 1 << 20
+    with pytest.raises(TooManyVertices):  # before the edge count is compared
+        parse_digraph(f"# big\n{MAX_VERTICES + 1} 5\n")
+    g = parse_digraph(f"{MAX_VERTICES} 1\n{MAX_VERTICES - 1} 0\n")
+    assert g.in_mask(0) == 1 << MAX_VERTICES - 1
+    assert (MAX_VERTICES + 64) * MAX_VERTICES < 2**63  # the check's edge keys fit int64

@@ -13,6 +13,7 @@ from seymour import (
     triangle_base_count,
 )
 from seymour import filtering, structure
+from seymour.digraph import _bits
 from seymour.errors import ConditionOutOfRange, NoSuchEdge
 from seymour.filtering import EVALUATION_ORDER, FAIL, NOT_APPLICABLE, PASS
 from strategies import digraphs, digraphs_with_edge
@@ -286,3 +287,32 @@ class TestRunFilter:
         short = run_filter(g, True)
         full = run_filter(g, False)
         assert short.verdicts == full.verdicts[: len(short.verdicts)]
+
+
+def _bit_walks(g, x):
+    """The two-walk masks of x from its out-row's set bits, one _bits yield each."""
+    once = twice = 0
+    for a in _bits(g._out[x]):
+        twice |= once & g._out[a]
+        once |= g._out[a]
+    return once, twice
+
+
+def _check_facts(g):
+    facts = filtering._Facts(g)
+    assert facts.succ == [sorted(_bits(row)) for row in g._out]
+    assert facts.anti == [p.anti_satisfaction for p in g.profiles()]
+    assert facts.walks == [_bit_walks(g, x) for x in range(g.n)]
+
+
+class TestFacts:
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs())
+    def test_match_profiles_and_bit_walks(self, g):
+        _check_facts(g)
+
+    @pytest.mark.parametrize("h", [_cycle(5), Digraph(5)], ids=["T13xC5", "T13xE5"])
+    def test_match_on_the_65_vertex_planted_products(self, h):
+        product, _ = build_product(_regular_tournament(13), h)
+        assert product.n == 65
+        _check_facts(product)
