@@ -302,35 +302,41 @@ class Digraph:
             mask |= layer
         return set(_bits(mask))
 
-    def _second_mask(self, u: int) -> int:
+    def profile(self, u: int) -> NeighborhoodProfile:
+        """|N1|, |N2| and the derived anti-satisfaction of u."""
+        self._check_vertex(u)
         first = self._out[u]
         second = 0
         for v in _bits(first):
             second |= self._out[v]
-        return second & ~first & ~(1 << u)
-
-    def profile(self, u: int) -> NeighborhoodProfile:
-        """|N1|, |N2| and the derived anti-satisfaction of u."""
-        self._check_vertex(u)
         return NeighborhoodProfile(
             vertex=u,
-            n1=self._out[u].bit_count(),
-            n2=self._second_mask(u).bit_count(),
+            n1=first.bit_count(),
+            n2=(second & ~first).bit_count(),  # no digon, so u is not in second
         )
 
     def profiles(self) -> list[NeighborhoodProfile]:
-        return [self.profile(u) for u in range(self.n)]
+        """The profile of every vertex, from one pass over the sorted edges.
+
+        Each edge (u, v) ORs v's out-row into u's reach; the graph has no
+        digons, so u never reaches itself and N2(u) is the reach minus N1(u).
+        The whole-graph queries below read this pass.
+        """
+        reach = [0] * self.n
+        for u, v in self.edges:
+            reach[u] |= self._out[v]
+        return [
+            NeighborhoodProfile(u, row.bit_count(), (second & ~row).bit_count())
+            for u, (row, second) in enumerate(zip(self._out, reach))
+        ]
 
     def satisfactory_vertices(self) -> set[int]:
         """Vertices with |N1| <= |N2|; empty exactly for a conjecture counterexample."""
-        return {u for u in range(self.n) if self.profile(u).satisfactory}
+        return {p.vertex for p in self.profiles() if p.satisfactory}
 
     def first_satisfactory_vertex(self) -> int | None:
         """Smallest satisfactory vertex, or None if the graph has none."""
-        for u in range(self.n):
-            if self._out[u].bit_count() <= self._second_mask(u).bit_count():
-                return u
-        return None
+        return next((p.vertex for p in self.profiles() if p.satisfactory), None)
 
     # -- derivations ----------------------------------------------------------
 

@@ -31,7 +31,6 @@ from typing import Any
 from .digraph import Digraph, Edge, _bits
 from .errors import ConditionOutOfRange
 from .structure import (  # noqa: F401  (re-exported: callers look the counters up here)
-    _apex_mask,
     _two_walks,
     diamond_base_targets,
     has_directed_cycle,
@@ -104,42 +103,27 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
     (covered, missing); the two sets partition {v} ∪ N1(v).
     """
     u, v = g._require_edge(edge)
-    missing = _missing(g, (u, v), _two_walks(g._out, _bits(g._out[u])))
+    missing = _missing(g, (u, v), _two_walks(g._out, ((u, a) for a in _bits(g._out[u])))[u])
     return set(_bits((g._out[v] | 1 << v) & ~missing)), set(_bits(missing))
 
 
 class _Facts:
-    """Per-graph facts the checks share, each computed on first use: the
-    out-neighbour lists, every vertex's anti-satisfaction (conditions 0, 2,
-    6, 7) and ``_two_walks`` (3, 4, 5; O(n·d) once, so those conditions cost
+    """Per-graph facts the checks share, each computed on first use from one
+    pass over the sorted edges: every vertex's anti-satisfaction from
+    ``Digraph.profiles`` (conditions 0, 2, 6, 7) and its two-walk masks from
+    ``_two_walks`` (3, 4, 5; O(m) bitset ORs once, so those conditions cost
     O(1) per edge)."""
 
     def __init__(self, g: Digraph):
         self.g = g
 
     @cached_property
-    def succ(self) -> list[list[int]]:
-        """Ascending out-neighbours of each vertex, from one pass over the sorted edges."""
-        succ: list[list[int]] = [[] for _ in range(self.g.n)]
-        for u, v in self.g.edges:
-            succ[u].append(v)
-        return succ
-
-    @cached_property
     def anti(self) -> list[int]:
-        """|N1(u)| - |N2(u)| per vertex u, as Digraph.profile counts them."""
-        out = self.g._out
-        anti = []
-        for u, heads in enumerate(self.succ):
-            reach = 0
-            for v in heads:
-                reach |= out[v]
-            anti.append(len(heads) - (reach & ~out[u]).bit_count())  # no digon: u not in reach
-        return anti
+        return [p.anti_satisfaction for p in self.g.profiles()]
 
     @cached_property
     def walks(self) -> list[tuple[int, int]]:
-        return [_two_walks(self.g._out, heads) for heads in self.succ]
+        return _two_walks(self.g._out, self.g.edges)
 
 
 def _check_no_satisfactory(g: Digraph, facts: _Facts) -> ConditionVerdict:
@@ -178,24 +162,22 @@ def _check_avoiding_paths(g: Digraph, facts: _Facts) -> ConditionVerdict:
 
 
 def _check_every_edge_is_base(g: Digraph, facts: _Facts) -> ConditionVerdict:
-    for e in g.edges:
-        u, v = e
-        if not g._out[u] & g._out[v] and not _apex_mask(g, e, facts.walks[u]):
-            return ConditionVerdict(4, FAIL, {"edge": list(e)})
+    for u, v in g.edges:
+        if not g._out[u] & g._out[v] and not g._out[v] & facts.walks[u][1]:
+            return ConditionVerdict(4, FAIL, {"edge": [u, v]})
     return ConditionVerdict(4, PASS if g.edges else NOT_APPLICABLE)
 
 
 def _check_base_multiplicity(g: Digraph, facts: _Facts) -> ConditionVerdict:
     applicable = False
     degree = [row.bit_count() for row in g._out]
-    for e in g.edges:
-        u, v = e
+    for u, v in g.edges:
         if degree[u] > degree[v]:
             continue
         applicable = True
         required = degree[v] - degree[u] + 1
         triangles = (g._out[u] & g._out[v]).bit_count()
-        apexes = _apex_mask(g, e, facts.walks[u]).bit_count()
+        apexes = (g._out[v] & facts.walks[u][1]).bit_count()
         if triangles < required or apexes < required:
             witness = {
                 "edge": [u, v],

@@ -66,7 +66,7 @@ def is_valid_second_factor(h: Digraph) -> bool:
     Any directed cycle qualifies, so valid second factors exist on every
     vertex count >= 3.
     """
-    return all(h.profile(u).anti_satisfaction >= 0 for u in range(h.n))
+    return all(p.anti_satisfaction >= 0 for p in h.profiles())
 
 
 def build_product(d_graph: Digraph, h_graph: Digraph) -> tuple[Digraph, ProductLabeling]:

@@ -181,8 +181,7 @@ def graph_at_index(n: int, index: int) -> Digraph:
 
 def enumerate_digon_free(n: int, ceiling: int = DEFAULT_CEILING) -> Iterator[Digraph]:
     """Yield every labeled digon-free digraph on n vertices in index order."""
-    if n > ceiling:
-        raise CeilingExceeded(n, ceiling)
+    SearchSpec(mode="exhaustive", n=n, ceiling=ceiling).validate()
     for index in range(space_size(n)):
         yield graph_at_index(n, index)
 
@@ -193,6 +192,11 @@ def enumerate_digon_free(n: int, ceiling: int = DEFAULT_CEILING) -> Iterator[Dig
 def _check_probability(p: float | None) -> None:
     if p is None or not 0.0 <= p <= 1.0:
         raise InvalidProbability(p)
+
+
+def _check_retries(model: str, max_retries: int) -> None:
+    if model == "triangle_free" and max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
 
 
 def _oriented(n: int, present: np.ndarray | bool, forward: np.ndarray) -> np.ndarray:
@@ -221,8 +225,7 @@ def _draw_adjacency(
         raise EmptyVertexSet()
     if model != "tournament":
         _check_probability(p)
-    if model == "triangle_free" and max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    _check_retries(model, max_retries)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if model == "tournament":
         return _oriented(n, True, rng.random(pair_count(n)) < 0.5)
@@ -302,6 +305,7 @@ class SearchSpec:
                 if self.p is None:
                     raise ValueError(f"model {self.model!r} needs an edge probability p")
                 _check_probability(self.p)
+            _check_retries(self.model, self.max_retries)
         else:
             raise ValueError(f"unknown search mode {self.mode!r}")
 

@@ -62,19 +62,17 @@ def triangle_base_count(g: Digraph, edge: Edge) -> int:
     return (g._out[u] & g._out[v]).bit_count()
 
 
-def _two_walks(rows: tuple[int, ...], mids: Iterable[int]) -> tuple[int, int]:
-    """Bitsets of the vertices that end at least one, and at least two, 2-walks
-    x -> a -> w with a in ``mids``, the out-neighbours of x, and ``rows`` the out-rows."""
-    once = twice = 0
-    for a in mids:
-        twice |= once & rows[a]
-        once |= rows[a]
-    return once, twice
-
-
-def _apex_mask(g: Digraph, edge: Edge, walks: tuple[int, int]) -> int:
-    """Diamond apexes of ``edge`` = (t,u) as a bitset, given the two-walk masks of t."""
-    return g._out[edge[1]] & walks[1]
+def _two_walks(rows: tuple[int, ...], edges: Iterable[Edge]) -> list[tuple[int, int]]:
+    """Per vertex x, the bitsets of the vertices that end at least one, and at
+    least two, 2-walks x -> a -> w over the edges (x, a) of ``edges``, from one
+    pass over them; ``rows`` are the out-rows, and a vertex that tails no edge
+    gets (0, 0)."""
+    once = [0] * len(rows)
+    twice = [0] * len(rows)
+    for x, a in edges:
+        twice[x] |= once[x] & rows[a]
+        once[x] |= rows[a]
+    return list(zip(once, twice))
 
 
 def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
@@ -84,12 +82,13 @@ def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
     (t,v) and (v,w).  t -> u -> w is always one 2-walk, and without loops
     or digons every other midpoint v lies outside {t,u,w}, so the apexes
     are the out-neighbors of u that end at least two 2-walks from t: one
-    pass over N1(t), then O(1) bitset operations.  A diamond's count per
-    base is the number of distinct apexes; use :func:`diamond_witnesses`
-    to recover the (v,w) pairs.
+    pass over the edges out of t, then O(1) bitset operations.  A diamond's
+    count per base is the number of distinct apexes; use
+    :func:`diamond_witnesses` to recover the (v,w) pairs.
     """
     t, u = g._require_edge(edge)
-    return set(_bits(_apex_mask(g, (t, u), _two_walks(g._out, _bits(g._out[t])))))
+    twice = _two_walks(g._out, ((t, a) for a in _bits(g._out[t])))[t][1]
+    return set(_bits(g._out[u] & twice))
 
 
 def diamond_witnesses(g: Digraph, edge: Edge) -> list[DiamondWitness]:

@@ -250,6 +250,18 @@ def test_profiles_match_oracle(g):
     assert [(p.n1, p.n2) for p in g.profiles()] == oracles.profile_sizes(g.n, g.edges)
 
 
+@settings(max_examples=40, deadline=None)
+@given(digon_free_adjacency())
+def test_one_pass_profiles_match_oracle_past_one_word(adj):
+    g = Digraph._from_adjacency(adj)
+    profiles = g.profiles()
+    assert [(p.n1, p.n2) for p in profiles] == oracles.profile_sizes(g.n, g.edges)
+    assert profiles == [g.profile(u) for u in range(g.n)]
+    satisfactory = {u for u in range(g.n) if g.profile(u).satisfactory}
+    assert g.satisfactory_vertices() == satisfactory
+    assert g.first_satisfactory_vertex() == min(satisfactory, default=None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(digraphs())
 def test_sinks_are_satisfactory(g):

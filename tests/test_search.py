@@ -97,6 +97,19 @@ class TestEnumeration:
             seen = {g.edges for g in enumerate_digon_free(n)}
             assert len(seen) == space_size(n)
 
+    @pytest.mark.parametrize(
+        "n, ceiling, error",
+        [
+            (7, 6, CeilingExceeded(7, 6)),
+            (9, 9, CeilingExceeded(9, 8)),
+            (0, 6, EmptyVertexSet()),
+        ],
+    )
+    def test_stream_validates_like_an_exhaustive_spec(self, n, ceiling, error):
+        with pytest.raises(type(error)) as exc:
+            next(enumerate_digon_free(n, ceiling))
+        assert str(exc.value) == str(error)
+
     def test_index_decoding_agrees_with_stream(self):
         for index, g in enumerate(enumerate_digon_free(3)):
             assert graph_at_index(3, index) == g
@@ -530,6 +543,24 @@ class TestRunSearch:
         spec = SearchSpec(mode="random", n=5, model="tournament", count=300, workers=64)
         assert run_search(spec).graphs_examined == 300
         assert sizes == [3]  # 300 samples in chunks of 128
+
+    def test_retry_limit_is_checked_before_any_worker_starts(self, monkeypatch):
+        spec = SearchSpec(
+            mode="random", model="triangle_free", n=5, p=0.3, count=1000, workers=2, max_retries=0
+        )
+        message = "max_retries must be >= 1, got 0"
+        with pytest.raises(ValueError, match=message):
+            spec.validate()
+
+        def forbidden(*args):
+            raise AssertionError("work started with an invalid retry limit")
+
+        monkeypatch.setattr(search, "_search_chunk", forbidden)
+        monkeypatch.setattr(search.multiprocessing, "Pool", forbidden)
+        with pytest.raises(ValueError, match=message):
+            run_search(spec)
+        # the limit only bounds triangle-free rejection sampling
+        SearchSpec(mode="random", model="tournament", n=5, count=1, max_retries=0).validate()
 
     def test_raised_ceiling_allows_larger_exhaustive(self):
         # a thin slice by monkeypatching is overkill; n=5 under a raised
