@@ -9,8 +9,9 @@ All structured output is JSON with sorted keys, so identical inputs give
 byte-identical output except for the elapsed-time field.  Randomized
 commands require an explicit --seed; there is no implicit entropy.
 
-Exit codes: 0 success, 1 usage or input error, 2 a search found a
-surviving candidate (so scripts notice).
+Exit codes: 0 success, 1 usage or input error, 2 a search found a graph
+without a satisfactory vertex, whether or not it survived the filter (so
+scripts notice).
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .version import __version__
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; exit 1 instead, 2 means 'survivor found'."""
+    """argparse exits 2 on usage errors; exit 1 instead, 2 means 'counterexample found'."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -146,7 +147,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     report = run_search(spec)
     _emit({"version": __version__, **report.as_dict()})
-    return 2 if report.filter_survivors else 0
+    return 2 if report.counterexamples_found else 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -78,6 +78,10 @@ class CeilingExceeded(DigraphError):
     fields = ("n", "ceiling")
     template = "exhaustive enumeration at n={n} exceeds the ceiling {ceiling}"
 
+class TooManyWorkers(DigraphError):
+    fields = ("workers", "limit")
+    template = "{workers} workers exceed the limit of {limit}"
+
 class InvalidProbability(DigraphError):
     fields = ("p",)
     template = "probability must lie in [0, 1], got {p}"

@@ -27,12 +27,14 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .digraph import Digraph, _packed_rows, _unpacked
-from .errors import CeilingExceeded, EmptyVertexSet, InvalidProbability, RetriesExhausted
+from .errors import CeilingExceeded, EmptyVertexSet, InvalidProbability
+from .errors import RetriesExhausted, TooManyWorkers
 from .filtering import CONDITION_COUNT, PASS, ConditionVerdict, FilterReport, run_filter
 from .textio import write_digraph
 
 DEFAULT_CEILING = 6
 DEFAULT_MAX_RETRIES = 1000  # rejection-sampling attempts per triangle-free graph
+MAX_WORKERS = 256  # worker processes one search may start
 
 RANDOM_MODELS = ("tournament", "digon_free", "acyclic", "triangle_free")
 
@@ -149,13 +151,33 @@ def _suffix_table(n: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _kept_columns(n: int, prefix: np.ndarray) -> np.ndarray:
+    """Indices of the suffix graphs S of _suffix_table(n) for which prefix | S
+    may lack a satisfactory vertex: every S if the prefix rows have a digon,
+    else those in which every vertex has out-degree >= 2.  In a digon-free
+    graph a sink is satisfactory, and so is u with N1(u) = {v} unless v is a
+    sink, since then N2(u) = N1(v)."""
+    sizes, adj = _suffix_table(n)[2], _unpacked(prefix)
+    if (adj & adj.T).any():
+        return np.arange(sizes.shape[1])
+    f, degrees = max(0, n - _SUFFIX_VERTICES), _popcount(prefix)
+    if (degrees[:f] <= 1).any():  # a vertex of F has no suffix out-neighbours
+        return np.arange(0)
+    return np.flatnonzero((sizes[f:] + degrees[f:, None] > 1).all(axis=0))
+
+
 def _chunk_verdict(n: int, prefix: np.ndarray) -> np.ndarray:
     """_no_satisfactory_vertex(prefix | S) for each suffix graph S of
     _suffix_table(n), from prefix rows P: loop-free, digons allowed, and the
-    suffix vertices point only into F, the first n - 5 vertices.  Vertex u
-    has N1 = S[u] | P[u], and reaches in two steps R[u], P[w] and S[w] for
-    w in P[u], and each g in F with an in-neighbour in S[u]."""
-    out, reach, sizes = _suffix_table(n)
+    suffix vertices point only into F, the first n - 5 vertices.  Only the
+    _kept_columns(n, P) reach the N2 step.  Vertex u has N1 = S[u] | P[u],
+    and reaches in two steps R[u], P[w] and S[w] for w in P[u], and each g
+    in F with an in-neighbour in S[u]."""
+    tables, keep = _suffix_table(n), _kept_columns(n, prefix)
+    verdict = np.zeros(tables[0].shape[1], dtype=bool)
+    if not len(keep):  # the whole chunk has a satisfactory vertex
+        return verdict
+    out, reach, sizes = (table[:, keep] for table in tables)
     adj = _unpacked(prefix)
     n2 = reach | np.bitwise_or.reduce(np.where(adj, prefix, np.uint8(0)), axis=1)[:, None]
     into = _packed_rows(adj.T)[:, 0]  # bit v of into[g]: v -> g
@@ -164,7 +186,8 @@ def _chunk_verdict(n: int, prefix: np.ndarray) -> np.ndarray:
         hit = ((out & into[g]) != 0).view(np.uint8)
         n2 |= np.left_shift(hit, np.uint8(g), out=hit)
     n2 &= ~(out | _packed_rows(adj | np.eye(n, dtype=bool)))  # N1 and u itself
-    return ~(_popcount(n2) >= sizes + _popcount(prefix)[:, None]).any(axis=0)
+    verdict[keep] = ~(_popcount(n2) >= sizes + _popcount(prefix)[:, None]).any(axis=0)
+    return verdict
 
 
 def graph_at_index(n: int, index: int) -> Digraph:
@@ -292,6 +315,8 @@ class SearchSpec:
             raise EmptyVertexSet()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > MAX_WORKERS:
+            raise TooManyWorkers(self.workers, MAX_WORKERS)
         if self.mode == "exhaustive":
             limit = min(self.ceiling, _ROW_WIDTH)
             if self.n > limit:

@@ -70,6 +70,11 @@ def has_satisfactory_vertex(n, edges):
     return any(n1 <= n2 for n1, n2 in profile_sizes(n, edges))
 
 
+def min_out_degree(n, edges):
+    out, _ = adjacency(n, edges)
+    return min(len(out[u]) for u in range(n))
+
+
 def strongly_connected(n, edges):
     out, _ = adjacency(n, edges)
     return all(

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from seymour import (
@@ -26,19 +28,22 @@ from seymour.errors import (
     EmptyVertexSet,
     InvalidProbability,
     RetriesExhausted,
+    TooManyWorkers,
 )
-from seymour import search
+from seymour import __version__, search
 from seymour.cli import main
 from seymour.digraph import _packed_rows
 from seymour.search import (
     _EXHAUSTIVE_CHUNK,
     _chunk_verdict,
+    _kept_columns,
     _no_satisfactory_vertex,
     _pair_index,
     _popcount,
     _row_tables,
     _rows_at,
     _suffix_table,
+    MAX_WORKERS,
     pair_count,
 )
 from strategies import digon_free_adjacency, loop_free_adjacency_batches, loop_free_row_batches
@@ -322,6 +327,93 @@ class TestPrefixFactoredKernel:
         verdict = _chunk_verdict(6, prefix)
         assert np.array_equal(verdict, general_verdict(6, prefix))
         assert verdict.sum() == 45
+
+
+def digon_prefix(rng, n):
+    """Random prefix rows with a digon 0 <-> v: the suffix vertices' prefix
+    rows point only into F, the others anywhere."""
+    adj = rng.random((n, n)) < rng.uniform(0.3, 1.0)
+    adj[n - 5 :, n - 5 :] = False
+    np.fill_diagonal(adj, False)
+    v = rng.integers(1, n)
+    adj[0, v] = adj[v, 0] = True
+    return _packed_rows(adj)[:, 0]
+
+
+def min_degree_offsets(n, start):
+    """Offsets in the chunk at start of the graphs whose every vertex has
+    out-degree >= 2, counted by numpy's bit unpacking of the decoded rows."""
+    rows = _rows_at(n, np.arange(start, start + suffix_size(n), dtype=np.int64))
+    degrees = np.unpackbits(rows[:, :, None], axis=2).sum(axis=2)
+    return np.flatnonzero(degrees.min(axis=1) >= 2)
+
+
+class TestDegreeLemma:
+    """The kernel leaves out every graph with a vertex of out-degree <= 1 when
+    the prefix is digon-free.  No digon-free graph this small lacks a
+    satisfactory vertex, so a kernel that left out too much would pass every
+    verdict test above: these tests pin the columns it keeps."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_kept_columns_match_the_oracle_on_whole_small_spaces(self, n):
+        expected = [
+            index
+            for index, edges in enumerate(oracles.all_digon_free_edge_lists(n))
+            if oracles.min_out_degree(n, edges) >= 2
+        ]
+        assert _kept_columns(n, _rows_at(n, 0)).tolist() == expected
+
+    def test_kept_columns_match_brute_force_on_every_n6_chunk(self):
+        pruned = 0
+        for start in range(0, space_size(6), suffix_size(6)):
+            keep = _kept_columns(6, _rows_at(6, start))
+            assert np.array_equal(keep, min_degree_offsets(6, start)), start
+            pruned += not len(keep)
+        assert 0 < pruned < space_size(6) // suffix_size(6)
+
+    @pytest.mark.parametrize("n, chunks", [(7, 12), (8, 8)])
+    def test_kept_columns_match_brute_force_on_seeded_chunks(self, n, chunks):
+        rng = np.random.default_rng(200 + n)
+        sizes = []
+        for k in rng.integers(0, space_size(n) // suffix_size(n), chunks).tolist():
+            start = k * suffix_size(n)
+            keep = _kept_columns(n, _rows_at(n, start))
+            assert np.array_equal(keep, min_degree_offsets(n, start)), start
+            kept = set(keep.tolist())
+            for offset in rng.integers(0, suffix_size(n), 100).tolist():
+                edges = oracles.digon_free_edges_at(n, start + offset)
+                assert (offset in kept) == (oracles.min_out_degree(n, edges) >= 2), start + offset
+            sizes.append(len(keep))
+        assert min(sizes) == 0 < max(sizes)  # some chunks are decided whole, some are not
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_a_digon_prefix_keeps_every_column(self, n):
+        rng = np.random.default_rng(300 + n)
+        for prefix in [joined_prefix(n)] + [digon_prefix(rng, n) for _ in range(6)]:
+            assert np.array_equal(_kept_columns(n, prefix), np.arange(suffix_size(n)))
+
+    def test_verdict_is_false_outside_the_kept_columns(self, monkeypatch):
+        prefix = joined_prefix(6)  # 24 planted counterexamples
+        planted = np.flatnonzero(_chunk_verdict(6, prefix))
+        dropped = planted[::2]
+        keep = np.setdiff1d(np.arange(suffix_size(6)), dropped)
+        monkeypatch.setattr(search, "_kept_columns", lambda n, prefix: keep)
+        assert np.flatnonzero(_chunk_verdict(6, prefix)).tolist() == planted[1::2].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(digon_free_adjacency(), st.data())
+def test_a_vertex_of_out_degree_at_most_one_leaves_a_satisfactory_vertex(adj, data):
+    # the lemma the kernel prunes by: cut one vertex down to at most one of
+    # its out-neighbours, which keeps the graph digon-free
+    adj, n = np.array(adj), len(adj)
+    u = data.draw(st.integers(0, n - 1))
+    kept = data.draw(st.sampled_from([[]] + [[v] for v in np.flatnonzero(adj[u]).tolist()]))
+    adj[u] = False
+    adj[u, kept] = True
+    assert not _no_satisfactory_vertex(_packed_rows(adj)[None])[0]
+    if n <= 20:
+        assert oracles.has_satisfactory_vertex(n, edges_of_matrix(adj))
 
 
 def word_value(row):
@@ -746,9 +838,8 @@ def test_planted_random_candidate_is_recorded(monkeypatch, filter_enabled):
         assert solo.per_condition_rejections == [299] + [0] * 7
 
 
-@pytest.mark.parametrize("filter_enabled", [False, True])
-def test_planted_exhaustive_candidate_is_recorded(monkeypatch, filter_enabled):
-    n, index = 6, 7 * _EXHAUSTIVE_CHUNK + 31_415
+def plant_chunk_candidate(monkeypatch, index):
+    """Make the graph at index the one the exhaustive kernel reports, and still run the real one."""
     start = index - index % _EXHAUSTIVE_CHUNK
     real = search._chunk_verdict
 
@@ -760,6 +851,14 @@ def test_planted_exhaustive_candidate_is_recorded(monkeypatch, filter_enabled):
         return mask
 
     monkeypatch.setattr(search, "_chunk_verdict", verdict)
+
+
+@pytest.mark.parametrize("filter_enabled", [False, True])
+def test_planted_exhaustive_candidate_is_recorded(monkeypatch, filter_enabled):
+    # index 7 * 3^10 gives vertex 0 out-degree 1, so the kernel decides that
+    # chunk whole and the wrapper sets a bit of its full-length mask
+    n, index = 6, 7 * _EXHAUSTIVE_CHUNK + 31_415
+    plant_chunk_candidate(monkeypatch, index)
     spec = dict(mode="exhaustive", n=n, filter_enabled=filter_enabled)
     solo, duo = (run_search(SearchSpec(**spec, workers=workers)) for workers in (1, 2))
     assert report_fingerprint(solo) == report_fingerprint(duo)
@@ -784,3 +883,64 @@ def test_random_report_does_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(search, "_RANDOM_CHUNK", 7)
     assert report_fingerprint(run_search(spec)) == default
     assert [record["index"] for record in default["filter_survivors"]] == [40]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("filter_enabled", [False, True])
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_search_exits_two_on_any_counterexample(monkeypatch, capsys, mode, filter_enabled, workers):
+    # with the filter on, the planted graph fails condition 0 and so is no
+    # survivor, but it is still a graph the verdict reported
+    if mode == "exhaustive":
+        plant_chunk_candidate(monkeypatch, 7 * _EXHAUSTIVE_CHUNK + 31_415)
+        spec = SearchSpec(mode="exhaustive", n=6, filter_enabled=filter_enabled)
+        argv = ["--n", "6"]
+    else:
+        plant_candidate(monkeypatch, "digon_free", 10, 0.4, 5, 137)
+        spec = SearchSpec(
+            mode="random", model="digon_free", n=10, p=0.4, count=300, seed=5,
+            filter_enabled=filter_enabled,
+        )
+        argv = ["--model", "digon_free", "--n", "10", "--p", "0.4", "--count", "300", "--seed", "5"]
+    argv = ["search", "--mode", mode, *argv, "--workers", workers]
+    assert main(argv + ([] if filter_enabled else ["--no-filter"])) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counterexamples_found"] == 1
+    assert len(payload["filter_survivors"]) == (0 if filter_enabled else 1)
+    expected = {"version": __version__, **run_search(spec).as_dict()}
+    for d in (payload, expected):
+        d.pop("elapsed_ms")
+        d["spec"].pop("workers")
+    assert payload == expected
+
+
+class TestWorkerLimit:
+    """A hostile worker count is refused before any process starts."""
+
+    def forbid_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work started past the worker limit")
+
+        monkeypatch.setattr(search, "_search_chunk", forbidden)
+        monkeypatch.setattr(search.multiprocessing, "Pool", forbidden)
+
+    def test_spec_rejects_workers_past_the_limit(self, monkeypatch):
+        self.forbid_work(monkeypatch)
+        assert MAX_WORKERS >= 8
+        SearchSpec(mode="exhaustive", n=7, ceiling=7, workers=MAX_WORKERS).validate()
+        for workers in (MAX_WORKERS + 1, 100_000):
+            spec = SearchSpec(mode="exhaustive", n=7, ceiling=7, workers=workers)
+            with pytest.raises(TooManyWorkers) as exc:
+                spec.validate()
+            assert (exc.value.workers, exc.value.limit) == (workers, MAX_WORKERS)
+            with pytest.raises(TooManyWorkers):
+                run_search(spec)
+
+    def test_cli_exits_one(self, monkeypatch, capsys):
+        self.forbid_work(monkeypatch)
+        argv = ["search", "--mode", "random", "--model", "tournament", "--n", "5"]
+        argv += ["--count", "1000", "--seed", "1", "--workers", "100000"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: 100000 workers exceed the limit of {MAX_WORKERS}\n"
