@@ -56,6 +56,10 @@ class TooManyVertices(DigraphError):
     fields = ("n", "limit")
     template = "{n} vertices exceed the limit of {limit}"
 
+class RowsTooLarge(DigraphError):
+    fields = ("bits", "limit")
+    template = "rows of {bits} bits (min(n, m) * n) exceed the limit of {limit}"
+
 class NonPositiveK(DigraphError):
     fields = ("k",)
     template = "neighborhood layer index must be >= 1, got {k}"

@@ -9,7 +9,9 @@ function, so index ranges partition cleanly across workers.
 Both modes ask "is there a satisfactory vertex?" of a whole chunk at once on
 packed out-rows.  An exhaustive chunk (uint8 rows, so n <= 8) is one prefix,
 the pairs touching the first n - 5 vertices, under all 3^10 graphs on the last
-five, whose rows and two-step reaches are tabled once per n.  Random samples,
+five, whose rows and two-step reaches are tabled once per n.  A digon-free
+prefix needs each suffix vertex to reach out-degree 2 in those five, and the
+columns that do are cached per vector of needs (3^5 of them).  Random samples,
 packed as drawn, go through the general verdict, the exhaustive kernel's
 oracle.  Only the (expected zero) graphs without one become Digraphs.
 
@@ -18,11 +20,12 @@ sample i draws from entropy (seed, i), so serial and parallel runs agree.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -41,6 +44,7 @@ RANDOM_MODELS = ("tournament", "digon_free", "acyclic", "triangle_free")
 _SUFFIX_VERTICES = 5  # an exhaustive chunk runs over every graph on the last five
 _EXHAUSTIVE_CHUNK = 3**10  # their C(5, 2) pair digits, the least significant
 _RANDOM_CHUNK = 128
+_POOL_BATCH = 64  # most chunks sent to a worker at once
 _ROW_WIDTH = 8  # vertices a uint8 out-row can hold
 _GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
 
@@ -56,21 +60,24 @@ def space_size(n: int) -> int:
     return 3 ** pair_count(n)
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache shares them with every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @functools.cache
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_index(n: int) -> tuple[np.ndarray, ...]:
     """Tails and heads of the pairs u < v, in itertools.combinations order."""
-    tails, heads = np.triu_indices(n, 1)
-    tails.flags.writeable = heads.flags.writeable = False  # shared by the cache
-    return tails, heads
+    return _frozen(*np.triu_indices(n, 1))
 
 
 @functools.cache
-def _flat_pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _flat_pair_index(n: int) -> tuple[np.ndarray, ...]:
     """Flat (n * n) positions of u -> v and v -> u for the pairs of _pair_index(n)."""
     tails, heads = _pair_index(n)
-    ahead, behind = tails * n + heads, heads * n + tails
-    ahead.flags.writeable = behind.flags.writeable = False  # shared by the cache
-    return ahead, behind
+    return _frozen(tails * n + heads, heads * n + tails)
 
 
 @functools.cache
@@ -85,17 +92,17 @@ def _row_tables(n: int) -> tuple[np.ndarray, ...]:
             digit = np.zeros((3, n), dtype=np.uint8)  # absent, u -> v, v -> u
             digit[1, u], digit[2, v] = 1 << v, 1 << u
             table = (table[:, None] | digit).reshape(-1, n)
-        table.flags.writeable = False  # shared by every caller of the cache
         tables.insert(0, table)
-    return tuple(tables)
+    return _frozen(*tables)
 
 
 def _rows_at(n: int, index: int | np.ndarray) -> np.ndarray:
     """uint8 out-rows (bit v of row u: u -> v) at an int or int64-array index."""
-    idx = np.asarray(index, dtype=np.int64)
-    rows = np.zeros(idx.shape + (n,), dtype=np.uint8)
+    # an int stays one: Python's divmod on it is far cheaper than numpy's
+    idx = index if isinstance(index, int) else np.asarray(index, dtype=np.int64)
+    rows = np.zeros(np.shape(idx) + (n,), dtype=np.uint8)
     for table in reversed(_row_tables(n)):
-        idx, code = np.divmod(idx, 3**_GROUP_DIGITS)
+        idx, code = divmod(idx, 3**_GROUP_DIGITS)
         rows |= table.take(code, axis=0)  # about twice as fast as table[code]
     return rows
 
@@ -145,40 +152,48 @@ def _suffix_table(n: int) -> tuple[np.ndarray, ...]:
     vertices): out-row S, two-step reach R and popcount of S, each (n, chunk)
     uint8; the rows of the other vertices are empty."""
     cols = _rows_at(n, np.arange(min(space_size(n), _EXHAUSTIVE_CHUNK))).T[:, :, None].copy()
-    tables = (cols[:, :, 0], _two_step(cols)[:, :, 0], _popcount(cols[:, :, 0]))
-    for table in tables:
-        table.flags.writeable = False  # shared by every chunk of the cache
-    return tables
+    return _frozen(cols[:, :, 0], _two_step(cols)[:, :, 0], _popcount(cols[:, :, 0]))
 
 
-def _kept_columns(n: int, prefix: np.ndarray) -> np.ndarray:
-    """Indices of the suffix graphs S of _suffix_table(n) for which prefix | S
-    may lack a satisfactory vertex: every S if the prefix rows have a digon,
-    else those in which every vertex has out-degree >= 2.  In a digon-free
+@functools.cache
+def _kept_suffix(n: int, need: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The indices of the suffix graphs of _suffix_table(n) in which suffix
+    vertex i has out-degree >= need[i], then their columns of its three
+    tables, computed once per n and need for every chunk with that need."""
+    tables = _suffix_table(n)
+    keep = np.flatnonzero((tables[2][-len(need) :] >= np.array(need)[:, None]).all(axis=0))
+    return _frozen(keep, *(table[:, keep] for table in tables))
+
+
+def _kept_columns(n: int, adj: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_kept_suffix for the suffix graphs S for which P | S may lack a
+    satisfactory vertex, P the prefix rows with matrix adj: every S if P has a
+    digon, else those in which every vertex has out-degree >= 2, so a suffix
+    vertex with d out-neighbours in F needs max(0, 2 - d) in S.  In a digon-free
     graph a sink is satisfactory, and so is u with N1(u) = {v} unless v is a
     sink, since then N2(u) = N1(v)."""
-    sizes, adj = _suffix_table(n)[2], _unpacked(prefix)
+    f, degrees = max(0, n - _SUFFIX_VERTICES), adj.sum(axis=1)
     if (adj & adj.T).any():
-        return np.arange(sizes.shape[1])
-    f, degrees = max(0, n - _SUFFIX_VERTICES), _popcount(prefix)
-    if (degrees[:f] <= 1).any():  # a vertex of F has no suffix out-neighbours
-        return np.arange(0)
-    return np.flatnonzero((sizes[f:] + degrees[f:, None] > 1).all(axis=0))
+        need = [0] * (n - f)
+    elif (degrees[:f] <= 1).any():  # a vertex of F has no suffix out-neighbours
+        need = [_SUFFIX_VERTICES] * (n - f)  # more than a suffix vertex can have
+    else:
+        need = np.maximum(0, 2 - degrees[f:]).tolist()
+    return _kept_suffix(n, tuple(need))
 
 
 def _chunk_verdict(n: int, prefix: np.ndarray) -> np.ndarray:
     """_no_satisfactory_vertex(prefix | S) for each suffix graph S of
     _suffix_table(n), from prefix rows P: loop-free, digons allowed, and the
     suffix vertices point only into F, the first n - 5 vertices.  Only the
-    _kept_columns(n, P) reach the N2 step.  Vertex u has N1 = S[u] | P[u],
+    columns _kept_columns picks reach the N2 step.  Vertex u has N1 = S[u] | P[u],
     and reaches in two steps R[u], P[w] and S[w] for w in P[u], and each g
     in F with an in-neighbour in S[u]."""
-    tables, keep = _suffix_table(n), _kept_columns(n, prefix)
-    verdict = np.zeros(tables[0].shape[1], dtype=bool)
+    adj = _unpacked(prefix)
+    keep, out, reach, sizes = _kept_columns(n, adj)
+    verdict = np.zeros(_suffix_table(n)[0].shape[1], dtype=bool)
     if not len(keep):  # the whole chunk has a satisfactory vertex
         return verdict
-    out, reach, sizes = (table[:, keep] for table in tables)
-    adj = _unpacked(prefix)
     n2 = reach | np.bitwise_or.reduce(np.where(adj, prefix, np.uint8(0)), axis=1)[:, None]
     into = _packed_rows(adj.T)[:, 0]  # bit v of into[g]: v -> g
     for g in range(max(0, n - _SUFFIX_VERTICES)):  # the other prefix rows hold only F
@@ -405,7 +420,7 @@ def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
     spec, start, stop = task
     if spec.mode == "exhaustive":  # start is a multiple of 3^10: one prefix
         candidates = np.nonzero(_chunk_verdict(spec.n, _rows_at(spec.n, start)))[0]
-        rows = _rows_at(spec.n, start + candidates)
+        rows = _rows_at(spec.n, start + candidates) if len(candidates) else ()
     else:
         draw = functools.partial(_draw_adjacency, spec.model, spec.n, spec.p)
         # packed as drawn, so the chunk never holds an (N, n, n) bool stack
@@ -422,31 +437,29 @@ def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
     return result
 
 
-def _chunk_tasks(spec: SearchSpec) -> list[tuple[SearchSpec, int, int]]:
+def _chunk_tasks(spec: SearchSpec) -> tuple[int, Iterator[tuple[SearchSpec, int, int]]]:
+    """The number of chunks of spec, and a generator of them in index order."""
     exhaustive = spec.mode == "exhaustive"
     total = space_size(spec.n) if exhaustive else spec.count or 0
-    chunk = _EXHAUSTIVE_CHUNK if exhaustive else _RANDOM_CHUNK
-    return [(spec, start, min(start + chunk, total)) for start in range(0, total, chunk)]
+    starts = range(0, total, _EXHAUSTIVE_CHUNK if exhaustive else _RANDOM_CHUNK)
+    return len(starts), ((spec, start, min(start + starts.step, total)) for start in starts)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
     """Run the search described by spec and aggregate a deterministic report.
 
-    Work is split into fixed index ranges merged back in range order, so
-    the report is identical (apart from elapsed time) for any worker
-    count.
+    Work is split into fixed index ranges, made as the workers take them and
+    merged back in range order, so the report is identical (apart from
+    elapsed time) for any worker count.
     """
     spec.validate()
     started = time.perf_counter()
-    tasks = _chunk_tasks(spec)
-    if spec.workers == 1 or len(tasks) <= 1:
-        parts: Sequence[_ChunkResult] = [_search_chunk(t) for t in tasks]
-    else:
-        with multiprocessing.Pool(min(spec.workers, len(tasks))) as pool:
-            parts = pool.map(_search_chunk, tasks)
-    total = _ChunkResult()
-    for part in parts:
-        total.merge(part)
+    chunks, tasks = _chunk_tasks(spec)
+    workers, total = min(spec.workers, chunks), _ChunkResult()
+    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        batch = max(1, min(_POOL_BATCH, chunks // (4 * workers)))  # chunks per message
+        for part in pool.imap(_search_chunk, tasks, batch) if pool else map(_search_chunk, tasks):
+            total.merge(part)
     return SearchReport(
         spec=spec,
         graphs_examined=total.examined,

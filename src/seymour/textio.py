@@ -13,8 +13,9 @@ to identical bytes.
 
 Parse errors carry the 1-based line number of the offending input line,
 checked in this order: the header (two integers, then n >= 1,
-n <= MAX_VERTICES and m >= 0), the count of edge lines against m, then the
-first bad edge line.  On that line: not two integers, tail out of range,
+n <= MAX_VERTICES and m >= 0), the count of edge lines against m, the
+bound min(n, m) * n <= MAX_ROW_BITS on the rows, then the first bad edge
+line.  On that line: not two integers, tail out of range,
 head out of range, a loop, a duplicate of an earlier line, a digon with an
 earlier line (the last five are ``digraph._checked_parts``).
 """
@@ -25,11 +26,12 @@ from contextlib import suppress
 from itertools import chain
 
 from .digraph import Digraph, _checked_parts
-from .errors import CountMismatch, EmptyVertexSet, GraphSyntaxError, TooManyVertices
+from .errors import CountMismatch, EmptyVertexSet, GraphSyntaxError, RowsTooLarge, TooManyVertices
 
-#: Largest header n, so a hostile header cannot make the parser allocate two
-#: huge tuples of rows; the edge check's keys, below (n + 64) * n, fit int64.
-MAX_VERTICES = 1 << 17
+#: Largest header n, so the edge check's keys, below (n + 64) * n, fit int64,
+#: and largest min(n, m) * n, the bits the rows of m edges can take: each row
+#: is an int as wide as its highest bit, so a short document could ask for GiBs.
+MAX_VERTICES, MAX_ROW_BITS = 1 << 17, 1 << 28
 
 # a line whose first non-blank is "#"; [^\S\n] is a blank, as \s is str.isspace
 _COMMENT = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
@@ -81,6 +83,8 @@ def parse_digraph(text: str) -> Digraph:
     edge_lines = len(values) // 2 - 1 if bad is None else len(pairs) - 1
     if edge_lines != m:
         raise CountMismatch(m, edge_lines)
+    if min(n, m) * n > MAX_ROW_BITS:
+        raise RowsTooLarge(min(n, m) * n, MAX_ROW_BITS, line=line(0))
     parts = _checked_parts(n, values[2:], lambda i: line(i + 1))
     if bad is not None:
         raise syntax_error(bad, "edge tail and head")

@@ -18,6 +18,7 @@ from seymour.errors import (
     EmptyVertexSet,
     GraphSyntaxError,
     LoopEdge,
+    RowsTooLarge,
     TooManyVertices,
     VertexOutOfRange,
 )
@@ -329,7 +330,7 @@ def _two_ints(lineno, content, what):
     raise GraphSyntaxError(lineno, f"expected two integers ({what}), got {content!r}")
 
 
-def parse_reference(text, max_vertices):
+def parse_reference(text, max_vertices, max_row_bits):
     """(edges, out-rows, in-rows) of a graph document, line by line: every
     error of parse_digraph, with its line, in the same order."""
     lines = []
@@ -350,6 +351,8 @@ def parse_reference(text, max_vertices):
     edge_lines = lines[1:]
     if len(edge_lines) != m:
         raise CountMismatch(m, len(edge_lines))
+    if min(n, m) * n > max_row_bits:  # at most min(n, m) rows hold a bit, each below bit n
+        raise RowsTooLarge(min(n, m) * n, max_row_bits, line=header_line)
     edges = []
     out, inn = [0] * n, [0] * n
     for lineno, content in edge_lines:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import oracles
 from seymour import Digraph, parse_digraph
-from seymour.errors import DigraphError, TooManyVertices
-from seymour.textio import MAX_VERTICES
+from seymour import textio
+from seymour.errors import DigraphError, RowsTooLarge, TooManyVertices
+from seymour.textio import MAX_ROW_BITS, MAX_VERTICES
 from strategies import digraphs
 
 # int() accepts the first row and rejects the second; -1 and the 20-digit
@@ -83,7 +84,7 @@ def _parts(g):
 
 def _agree(text):
     parsed = _outcome(lambda: _parts(parse_digraph(text)))
-    assert parsed == _outcome(lambda: oracles.parse_reference(text, MAX_VERTICES))
+    assert parsed == _outcome(lambda: oracles.parse_reference(text, MAX_VERTICES, MAX_ROW_BITS))
     return parsed
 
 
@@ -141,3 +142,38 @@ def test_header_above_the_limit_is_rejected_before_allocating():
     g = parse_digraph(f"{MAX_VERTICES} 1\n{MAX_VERTICES - 1} 0\n")
     assert g.in_mask(0) == 1 << MAX_VERTICES - 1
     assert (MAX_VERTICES + 64) * MAX_VERTICES < 2**63  # the check's edge keys fit int64
+
+
+def test_rows_past_the_bit_limit_are_rejected_before_allocating(monkeypatch):
+    # 4,096 lines "u 131071" under the largest header: each out-row would be a
+    # 16 KB int, 64 MiB of rows from a document of under 48 KB
+    text = f"{MAX_VERTICES} 4096\n" + "".join(f"{u} {MAX_VERTICES - 1}\n" for u in range(4096))
+    assert len(text) < 48 * 1024
+
+    def forbidden(*args):
+        raise AssertionError("rows built past the bit limit")
+
+    monkeypatch.setattr(textio, "_checked_parts", forbidden)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RowsTooLarge) as exc:
+            parse_digraph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.bits, exc.value.limit, exc.value.line) == (2**29, MAX_ROW_BITS, 1)
+    assert 2**29 > MAX_ROW_BITS
+    assert peak < 4 << 20  # the document's tokens, not its rows
+    assert _outcome(lambda: parse_digraph(text)) == _outcome(
+        lambda: oracles.parse_reference(text, MAX_VERTICES, MAX_ROW_BITS)
+    )
+
+
+def test_rows_at_the_bit_limit_parse():
+    # min(n, m) * n is MAX_ROW_BITS at m = MAX_ROW_BITS // n edges, one over past it
+    m = MAX_ROW_BITS // MAX_VERTICES
+    text = f"# at the limit\n{MAX_VERTICES} {m}\n" + "".join(f"{u} 0\n" for u in range(1, m + 1))
+    assert parse_digraph(text).in_mask(0) == (1 << m + 1) - 2
+    with pytest.raises(RowsTooLarge) as exc:
+        parse_digraph(text.replace(f" {m}\n", f" {m + 1}\n", 1) + f"{m + 1} 0\n")
+    assert (exc.value.bits, exc.value.line) == ((m + 1) * MAX_VERTICES, 2)

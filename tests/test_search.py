@@ -32,11 +32,12 @@ from seymour.errors import (
 )
 from seymour import __version__, search
 from seymour.cli import main
-from seymour.digraph import _packed_rows
+from seymour.digraph import _packed_rows, _unpacked
 from seymour.search import (
     _EXHAUSTIVE_CHUNK,
     _chunk_verdict,
     _kept_columns,
+    _kept_suffix,
     _no_satisfactory_vertex,
     _pair_index,
     _popcount,
@@ -340,6 +341,11 @@ def digon_prefix(rng, n):
     return _packed_rows(adj)[:, 0]
 
 
+def kept_columns(n, prefix):
+    """The indices of the suffix graphs the kernel keeps under prefix rows."""
+    return _kept_columns(n, _unpacked(prefix))[0]
+
+
 def min_degree_offsets(n, start):
     """Offsets in the chunk at start of the graphs whose every vertex has
     out-degree >= 2, counted by numpy's bit unpacking of the decoded rows."""
@@ -361,12 +367,12 @@ class TestDegreeLemma:
             for index, edges in enumerate(oracles.all_digon_free_edge_lists(n))
             if oracles.min_out_degree(n, edges) >= 2
         ]
-        assert _kept_columns(n, _rows_at(n, 0)).tolist() == expected
+        assert kept_columns(n, _rows_at(n, 0)).tolist() == expected
 
     def test_kept_columns_match_brute_force_on_every_n6_chunk(self):
         pruned = 0
         for start in range(0, space_size(6), suffix_size(6)):
-            keep = _kept_columns(6, _rows_at(6, start))
+            keep = kept_columns(6, _rows_at(6, start))
             assert np.array_equal(keep, min_degree_offsets(6, start)), start
             pruned += not len(keep)
         assert 0 < pruned < space_size(6) // suffix_size(6)
@@ -377,7 +383,7 @@ class TestDegreeLemma:
         sizes = []
         for k in rng.integers(0, space_size(n) // suffix_size(n), chunks).tolist():
             start = k * suffix_size(n)
-            keep = _kept_columns(n, _rows_at(n, start))
+            keep = kept_columns(n, _rows_at(n, start))
             assert np.array_equal(keep, min_degree_offsets(n, start)), start
             kept = set(keep.tolist())
             for offset in rng.integers(0, suffix_size(n), 100).tolist():
@@ -390,15 +396,115 @@ class TestDegreeLemma:
     def test_a_digon_prefix_keeps_every_column(self, n):
         rng = np.random.default_rng(300 + n)
         for prefix in [joined_prefix(n)] + [digon_prefix(rng, n) for _ in range(6)]:
-            assert np.array_equal(_kept_columns(n, prefix), np.arange(suffix_size(n)))
+            assert np.array_equal(kept_columns(n, prefix), np.arange(suffix_size(n)))
 
     def test_verdict_is_false_outside_the_kept_columns(self, monkeypatch):
         prefix = joined_prefix(6)  # 24 planted counterexamples
         planted = np.flatnonzero(_chunk_verdict(6, prefix))
         dropped = planted[::2]
         keep = np.setdiff1d(np.arange(suffix_size(6)), dropped)
-        monkeypatch.setattr(search, "_kept_columns", lambda n, prefix: keep)
+        columns = (keep, *(table[:, keep] for table in _suffix_table(6)))
+        monkeypatch.setattr(search, "_kept_columns", lambda n, adj: columns)
         assert np.flatnonzero(_chunk_verdict(6, prefix)).tolist() == planted[1::2].tolist()
+
+
+NEEDS = list(itertools.product(range(3), repeat=5))
+
+
+@pytest.fixture
+def fresh_need_cache():
+    """An empty _kept_suffix cache, emptied again after the test: all 243
+    needs at n = 8 hold about 80 MiB."""
+    _kept_suffix.cache_clear()
+    yield
+    _kept_suffix.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_need_cache")
+class TestNeedCache:
+    """_kept_suffix holds the kept columns once per n and need, the least
+    out-degree in S of each suffix vertex; _kept_columns maps a prefix to it."""
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_every_need_equals_the_uncached_selection_and_gather(self, n):
+        degrees = np.unpackbits(suffix_rows(n)[:, n - 5 :, None], axis=2).sum(axis=2)
+        tables = _suffix_table(n)
+        for need in NEEDS:
+            keep = np.flatnonzero((degrees >= need).all(axis=1))
+            cached = _kept_suffix(n, need)
+            assert _kept_suffix(n, need) is cached
+            assert len(cached) == 4 and np.array_equal(cached[0], keep), need
+            for table, columns in zip(tables, cached[1:]):
+                assert np.array_equal(columns, table[:, keep]), need
+        assert len(_kept_suffix(n, (0,) * 5)[0]) == suffix_size(n)
+        assert _kept_suffix.cache_info().currsize == len(NEEDS)
+
+    def test_the_cache_keeps_n_apart(self):
+        for need in [(0,) * 5, (2, 1, 0, 2, 1), (2,) * 5]:
+            first = [_kept_suffix(n, need) for n in (6, 7, 8)]
+            for n, cached in zip((6, 7, 8), first):
+                assert cached is _kept_suffix(n, need)
+                assert [array.shape[0] for array in cached[1:]] == [n] * 3
+                assert np.array_equal(cached[1], _suffix_table(n)[0][:, cached[0]])
+
+    def test_cached_arrays_are_read_only(self):
+        for n, need in [(1, (2,)), (4, (0, 1, 2, 0)), (6, (1, 2, 1, 2, 2)), (8, (0,) * 5)]:
+            columns = [_kept_suffix(n, need), _kept_columns(n, _unpacked(_rows_at(n, 0)))]
+            for array in itertools.chain(*columns):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    @pytest.mark.parametrize("n, chunks", [(6, None), (7, 100), (8, 300)])
+    def test_kept_columns_look_up_the_need_of_the_prefix(self, n, chunks):
+        # out-degrees counted on the oracle's edge list of the chunk's first
+        # graph, which is its prefix; only at n = 8 can a suffix vertex have
+        # three out-neighbours in F, where max(0, 2 - d) differs from 2 - d
+        f, counts = n - 5, {"pruned": 0, "looked up": 0, "clamped": 0}
+        if chunks is None:
+            starts = range(0, space_size(n), suffix_size(n))
+        else:
+            rng = np.random.default_rng(400 + n)
+            starts = rng.integers(0, space_size(n) // suffix_size(n), chunks) * suffix_size(n)
+        for start in [int(start) for start in starts]:
+            degrees = [0] * n
+            for u, _ in oracles.digon_free_edges_at(n, start):
+                degrees[u] += 1
+            columns = _kept_columns(n, _unpacked(_rows_at(n, start)))
+            if min(degrees[:f]) <= 1:
+                assert not len(columns[0]), start
+                counts["pruned"] += 1
+            else:
+                need = tuple(max(0, 2 - d) for d in degrees[f:])
+                assert columns is _kept_suffix(n, need), start
+                counts["looked up"] += 1
+                counts["clamped"] += max(degrees[f:]) > 2
+        assert counts["pruned"] and counts["looked up"]
+        assert bool(counts["clamped"]) == (n == 8)
+        for prefix in [joined_prefix(n), digon_prefix(np.random.default_rng(n), n)]:
+            assert _kept_columns(n, _unpacked(prefix)) is _kept_suffix(n, (0,) * 5)
+
+
+def test_a_chunk_without_candidates_decodes_only_its_prefix(monkeypatch):
+    n, spec = 6, SearchSpec(mode="exhaustive", n=6)
+    kept = [len(kept_columns(n, _rows_at(n, k * _EXHAUSTIVE_CHUNK))) for k in range(243)]
+    starts = [k * _EXHAUSTIVE_CHUNK for k in (kept.index(0), kept.index(max(kept)))]
+    decoded = []
+    real = search._rows_at
+
+    def rows_at(n, index):
+        decoded.append(np.ndim(index))
+        return real(n, index)
+
+    monkeypatch.setattr(search, "_rows_at", rows_at)
+    for start in starts:  # one chunk decided whole, one with the most kept columns
+        result = search._search_chunk((spec, start, start + _EXHAUSTIVE_CHUNK))
+        assert (result.examined, result.counterexamples) == (_EXHAUSTIVE_CHUNK, 0)
+    assert decoded == [0, 0]  # each prefix, once
+    plant_chunk_candidate(monkeypatch, starts[1] + 5)
+    result = search._search_chunk((spec, starts[1], starts[1] + _EXHAUSTIVE_CHUNK))
+    assert result.counterexamples == 1
+    assert decoded == [0, 0, 0, 1]  # the prefix, then the candidates
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,6 +654,29 @@ class TestRandomModels:
             draw(n)
 
 
+def inline_pool(monkeypatch):
+    """Replace multiprocessing.Pool with one that runs imap in this process;
+    returns the lists of the pool sizes and imap batch sizes asked for."""
+    sizes, batches = [], []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            batches.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", InlinePool)
+    return sizes, batches
+
+
 class TestRunSearch:
     def test_exhaustive_four_vertices(self):
         report = run_search(SearchSpec(mode="exhaustive", n=4))
@@ -616,25 +745,41 @@ class TestRunSearch:
             run_search(SearchSpec(mode="silly", n=4))
 
     def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(task) for task in tasks]
-
-        monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+        sizes, batches = inline_pool(monkeypatch)
         spec = SearchSpec(mode="random", n=5, model="tournament", count=300, workers=64)
         assert run_search(spec).graphs_examined == 300
         assert sizes == [3]  # 300 samples in chunks of 128
+        spec = SearchSpec(mode="exhaustive", n=6, workers=2)
+        assert report_fingerprint(run_search(spec)) == report_fingerprint(
+            run_search(SearchSpec(mode="exhaustive", n=6))
+        )
+        assert (sizes, batches) == ([3, 2], [1, 30])  # 243 chunks, 4 batches per worker
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_are_made_as_they_are_taken(self, monkeypatch, workers):
+        # the serial loop and the pool both take chunks from a generator, so
+        # no task list of 3^18 chunks (n = 8) is built before the work starts
+        made, taken = [], []
+        real_tasks, real_chunk = search._chunk_tasks, search._search_chunk
+
+        def tasks(spec):
+            chunks, generator = real_tasks(spec)
+            return chunks, (made.append(task[1]) or task for task in generator)
+
+        def chunk(task):
+            taken.append(len(made))
+            return real_chunk(task)
+
+        monkeypatch.setattr(search, "_chunk_tasks", tasks)
+        monkeypatch.setattr(search, "_search_chunk", chunk)
+        inline_pool(monkeypatch)
+        report = run_search(SearchSpec(mode="exhaustive", n=6, workers=workers))
+        assert report.graphs_examined == space_size(6)
+        assert made == list(range(0, space_size(6), _EXHAUSTIVE_CHUNK))
+        assert taken == list(range(1, 244))  # chunk i runs when i + 1 are made
+        chunks, generator = real_tasks(SearchSpec(mode="exhaustive", n=8, ceiling=8))
+        assert chunks == 3**18
+        assert next(generator) == (SearchSpec(mode="exhaustive", n=8, ceiling=8), 0, 3**10)
 
     def test_retry_limit_is_checked_before_any_worker_starts(self, monkeypatch):
         spec = SearchSpec(
