@@ -6,14 +6,14 @@ labeled graphs, ordered by the base-3 state vector (pairs (0,1), (0,2), ...,
 (n-2,n-1), earlier pairs most significant); index -> graph is a pure
 function, so index ranges partition cleanly across workers.
 
-Both modes ask "is there a satisfactory vertex?" of a whole chunk at once on
-packed out-rows.  An exhaustive chunk (uint8 rows, so n <= 8) is one prefix,
-the pairs touching the first n - 5 vertices, under all 3^10 graphs on the last
-five, whose rows and two-step reaches are tabled once per n.  A digon-free
-prefix needs each suffix vertex to reach out-degree 2 in those five, and the
-columns that do are cached per vector of needs (3^5 of them).  Random samples,
-packed as drawn, go through the general verdict, the exhaustive kernel's
-oracle.  Only the (expected zero) graphs without one become Digraphs.
+Both modes ask "is there a satisfactory vertex?" of a whole chunk at once, in
+one verdict on packed out-rows.  An exhaustive chunk (uint8 rows, so n <= 8)
+is one prefix, the pairs touching the first n - 5 vertices, under all 3^10
+graphs on the last five, whose rows are tabled once per n.  A digon-free
+prefix needs each suffix vertex to reach out-degree 2 in those five; the
+suffix graphs that do are cached per vector of needs (3^5 of them), and only
+they, ORed with the prefix, reach the verdict.  Random samples reach it packed
+as drawn.  Only the (expected zero) graphs without one become Digraphs.
 
 Randomness is implementation-pinned: PCG64 seeded through SeedSequence, and
 sample i draws from entropy (seed, i), so serial and parallel runs agree.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,13 +32,14 @@ import numpy as np
 
 from .digraph import Digraph, _packed_rows, _unpacked
 from .errors import CeilingExceeded, EmptyVertexSet, InvalidProbability
-from .errors import RetriesExhausted, TooManyWorkers
+from .errors import RetriesExhausted, TooManyVertices, TooManyWorkers
 from .filtering import CONDITION_COUNT, PASS, ConditionVerdict, FilterReport, run_filter
-from .textio import write_digraph
+from .textio import MAX_ROW_BITS, write_digraph
 
 DEFAULT_CEILING = 6
 DEFAULT_MAX_RETRIES = 1000  # rejection-sampling attempts per triangle-free graph
 MAX_WORKERS = 256  # worker processes one search may start
+MAX_RANDOM_VERTICES = math.isqrt(MAX_ROW_BITS)  # so a draw has at most MAX_ROW_BITS entries
 
 RANDOM_MODELS = ("tournament", "digon_free", "acyclic", "triangle_free")
 
@@ -113,7 +115,7 @@ def _two_step(cols: np.ndarray) -> np.ndarray:
     reach2 = np.zeros_like(cols)
     for w in range(len(cols)):  # every u with u -> w reaches w's out-row
         hit = (cols[:, :, w // bits, None] >> word(w % bits)) & word(1)
-        reach2 |= np.negative(hit, out=hit) & cols[w]
+        reach2 |= hit * cols[w]  # not out=hit: it cannot hold the broadcast when W > 1
     return reach2
 
 
@@ -129,40 +131,41 @@ def _popcount(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_and(x, np.uint8(0x0F), out=x)
 
 
+@functools.cache
+def _own_bits(n: int) -> np.ndarray:
+    """Bit u of row u, as (n, 1, W) packed rows that broadcast over a batch."""
+    return _frozen(_packed_rows(np.eye(n, dtype=bool))[:, None])[0]
+
+
 def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
     """Per graph of an (N, n) or (N, n, W) batch of loop-free out-rows laid
     out as _packed_rows lays out n vertices, digons allowed: True iff no
     vertex has |N1| <= |N2|.  Must agree with Digraph.profile."""
     n = rows.shape[1]
-    cols = np.moveaxis(rows.reshape(len(rows), n, -1), 1, 0).copy()  # (n, N, W): per vertex
-    own = _packed_rows(np.eye(n, dtype=bool))[:, None]  # bit u of row u
+    cols = rows.reshape(len(rows), n, -1).transpose(1, 0, 2).copy()  # (n, N, W): per vertex
     count = np.min_scalar_type(n)  # holds any popcount; wider sums cost time
     n1 = _popcount(cols.view(np.uint8)).sum(axis=2, dtype=count)
     reach = _two_step(cols)
-    reach &= ~cols
-    reach &= ~own
+    reach &= ~(cols | _own_bits(n))  # N2 leaves out N1 and u itself
     del cols  # not held through the N2 popcount
     n2 = _popcount(reach.view(np.uint8)).sum(axis=2, dtype=count)
     return ~(n1 <= n2).any(axis=0)
 
 
 @functools.cache
-def _suffix_table(n: int) -> tuple[np.ndarray, ...]:
-    """Per vertex, over the first chunk (every graph on the last min(n, 5)
-    vertices): out-row S, two-step reach R and popcount of S, each (n, chunk)
-    uint8; the rows of the other vertices are empty."""
-    cols = _rows_at(n, np.arange(min(space_size(n), _EXHAUSTIVE_CHUNK))).T[:, :, None].copy()
-    return _frozen(cols[:, :, 0], _two_step(cols)[:, :, 0], _popcount(cols[:, :, 0]))
+def _suffix_rows(n: int) -> np.ndarray:
+    """Out-rows of every graph on the last min(n, 5) vertices, the first
+    chunk in index order: (chunk, n) uint8, the other vertices' rows empty."""
+    return _frozen(_rows_at(n, np.arange(min(space_size(n), _EXHAUSTIVE_CHUNK))))[0]
 
 
 @functools.cache
 def _kept_suffix(n: int, need: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The indices of the suffix graphs of _suffix_table(n) in which suffix
-    vertex i has out-degree >= need[i], then their columns of its three
-    tables, computed once per n and need for every chunk with that need."""
-    tables = _suffix_table(n)
-    keep = np.flatnonzero((tables[2][-len(need) :] >= np.array(need)[:, None]).all(axis=0))
-    return _frozen(keep, *(table[:, keep] for table in tables))
+    """Offsets of the suffix graphs of _suffix_rows(n) in which suffix vertex i
+    has out-degree >= need[i], and their (K, n) rows; cached per n and need."""
+    rows = _suffix_rows(n)
+    keep = np.flatnonzero((_popcount(rows[:, -len(need) :]) >= np.array(need)).all(axis=1))
+    return _frozen(keep, rows[keep])
 
 
 def _kept_columns(n: int, adj: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -182,27 +185,16 @@ def _kept_columns(n: int, adj: np.ndarray) -> tuple[np.ndarray, ...]:
     return _kept_suffix(n, tuple(need))
 
 
-def _chunk_verdict(n: int, prefix: np.ndarray) -> np.ndarray:
-    """_no_satisfactory_vertex(prefix | S) for each suffix graph S of
-    _suffix_table(n), from prefix rows P: loop-free, digons allowed, and the
-    suffix vertices point only into F, the first n - 5 vertices.  Only the
-    columns _kept_columns picks reach the N2 step.  Vertex u has N1 = S[u] | P[u],
-    and reaches in two steps R[u], P[w] and S[w] for w in P[u], and each g
-    in F with an in-neighbour in S[u]."""
-    adj = _unpacked(prefix)
-    keep, out, reach, sizes = _kept_columns(n, adj)
-    verdict = np.zeros(_suffix_table(n)[0].shape[1], dtype=bool)
+def _chunk_candidates(n: int, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and rows of the graphs prefix | S with no satisfactory vertex, S
+    the suffix graphs of _suffix_rows(n), prefix the rows of the pairs touching
+    F, the first n - 5 vertices; only those _kept_columns picks reach the verdict."""
+    keep, rows = _kept_columns(n, _unpacked(prefix))
     if not len(keep):  # the whole chunk has a satisfactory vertex
-        return verdict
-    n2 = reach | np.bitwise_or.reduce(np.where(adj, prefix, np.uint8(0)), axis=1)[:, None]
-    into = _packed_rows(adj.T)[:, 0]  # bit v of into[g]: v -> g
-    for g in range(max(0, n - _SUFFIX_VERTICES)):  # the other prefix rows hold only F
-        n2[g] |= np.bitwise_or.reduce(out[adj[g]], axis=0)
-        hit = ((out & into[g]) != 0).view(np.uint8)
-        n2 |= np.left_shift(hit, np.uint8(g), out=hit)
-    n2 &= ~(out | _packed_rows(adj | np.eye(n, dtype=bool)))  # N1 and u itself
-    verdict[keep] = ~(_popcount(n2) >= sizes + _popcount(prefix)[:, None]).any(axis=0)
-    return verdict
+        return keep, rows
+    rows = rows | prefix
+    found = _no_satisfactory_vertex(rows)
+    return keep[found], rows[found]
 
 
 def graph_at_index(n: int, index: int) -> Digraph:
@@ -227,12 +219,16 @@ def enumerate_digon_free(n: int, ceiling: int = DEFAULT_CEILING) -> Iterator[Dig
 # -- seeded random models -----------------------------------------------------
 
 
-def _check_probability(p: float | None) -> None:
-    if p is None or not 0.0 <= p <= 1.0:
+def _check_draw(model: str | None, n: int, p: float | None, max_retries: int) -> None:
+    """The one check of a draw's parameters, made before anything is allocated."""
+    if model not in RANDOM_MODELS:
+        raise ValueError(f"unknown random model {model!r}")
+    if n < 1:
+        raise EmptyVertexSet()
+    if n > MAX_RANDOM_VERTICES:
+        raise TooManyVertices(n, MAX_RANDOM_VERTICES)
+    if model != "tournament" and (p is None or not 0.0 <= p <= 1.0):
         raise InvalidProbability(p)
-
-
-def _check_retries(model: str, max_retries: int) -> None:
     if model == "triangle_free" and max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
 
@@ -257,13 +253,7 @@ def _draw_adjacency(
 ) -> np.ndarray:
     """The (n, n) bool matrix of one graph of a model in RANDOM_MODELS, drawn
     from entropy seed (tournaments ignore p)."""
-    if model not in RANDOM_MODELS:
-        raise ValueError(f"unknown random model {model!r}")
-    if n < 1:
-        raise EmptyVertexSet()
-    if model != "tournament":
-        _check_probability(p)
-    _check_retries(model, max_retries)
+    _check_draw(model, n, p, max_retries)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if model == "tournament":
         return _oriented(n, True, rng.random(pair_count(n)) < 0.5)
@@ -337,15 +327,11 @@ class SearchSpec:
             if self.n > limit:
                 raise CeilingExceeded(self.n, limit)
         elif self.mode == "random":
-            if self.model not in RANDOM_MODELS:
-                raise ValueError(f"unknown random model {self.model!r}")
+            if self.p is None and self.model in RANDOM_MODELS and self.model != "tournament":
+                raise ValueError(f"model {self.model!r} needs an edge probability p")
+            _check_draw(self.model, self.n, self.p, self.max_retries)
             if self.count is None or self.count < 1:
                 raise ValueError("random mode needs count >= 1")
-            if self.model != "tournament":
-                if self.p is None:
-                    raise ValueError(f"model {self.model!r} needs an edge probability p")
-                _check_probability(self.p)
-            _check_retries(self.model, self.max_retries)
         else:
             raise ValueError(f"unknown search mode {self.mode!r}")
 
@@ -419,15 +405,12 @@ def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
     """One verdict over a chunk; only its candidates become Digraphs."""
     spec, start, stop = task
     if spec.mode == "exhaustive":  # start is a multiple of 3^10: one prefix
-        candidates = np.nonzero(_chunk_verdict(spec.n, _rows_at(spec.n, start)))[0]
-        rows = _rows_at(spec.n, start + candidates) if len(candidates) else ()
-    else:
+        candidates, rows = _chunk_candidates(spec.n, _rows_at(spec.n, start))
+    else:  # packed as drawn, so the chunk never holds an (N, n, n) bool stack
         draw = functools.partial(_draw_adjacency, spec.model, spec.n, spec.p)
-        # packed as drawn, so the chunk never holds an (N, n, n) bool stack
-        rows = np.stack(
-            [_packed_rows(draw((spec.seed, i), spec.max_retries)) for i in range(start, stop)]
-        )
-        candidates = np.nonzero(_no_satisfactory_vertex(rows))[0]
+        seeds = [(spec.seed, i) for i in range(start, stop)]
+        rows = np.stack([_packed_rows(draw(seed, spec.max_retries)) for seed in seeds])
+        candidates = np.flatnonzero(_no_satisfactory_vertex(rows))
         rows = rows[candidates]
     result = _ChunkResult(examined=stop - start)
     result.rejections[0] += result.examined - len(candidates)

@@ -28,6 +28,7 @@ from seymour.errors import (
     EmptyVertexSet,
     InvalidProbability,
     RetriesExhausted,
+    TooManyVertices,
     TooManyWorkers,
 )
 from seymour import __version__, search
@@ -35,7 +36,7 @@ from seymour.cli import main
 from seymour.digraph import _packed_rows, _unpacked
 from seymour.search import (
     _EXHAUSTIVE_CHUNK,
-    _chunk_verdict,
+    _chunk_candidates,
     _kept_columns,
     _kept_suffix,
     _no_satisfactory_vertex,
@@ -43,7 +44,8 @@ from seymour.search import (
     _popcount,
     _row_tables,
     _rows_at,
-    _suffix_table,
+    _suffix_rows,
+    MAX_RANDOM_VERTICES,
     MAX_WORKERS,
     pair_count,
 )
@@ -235,7 +237,7 @@ class TestPackedRowKernel:
 
         monkeypatch.setattr(search, "_chunk_tasks", forbidden)
         monkeypatch.setattr(search, "_rows_at", forbidden)
-        monkeypatch.setattr(search, "_suffix_table", forbidden)
+        monkeypatch.setattr(search, "_suffix_rows", forbidden)
         with pytest.raises(CeilingExceeded) as exc:
             run_search(SearchSpec(mode="exhaustive", n=9, ceiling=9))
         assert exc.value.ceiling == 8
@@ -263,6 +265,16 @@ def general_verdict(n, prefix):
     return _no_satisfactory_vertex(suffix_rows(n) | prefix)
 
 
+def chunk_mask(n, prefix):
+    """_chunk_candidates(n, prefix) as a mask over the chunk's offsets; the
+    rows it returns must be those of prefix | S for the suffix graphs S found."""
+    offsets, rows = _chunk_candidates(n, prefix)
+    assert np.array_equal(rows, suffix_rows(n)[offsets] | prefix)
+    mask = np.zeros(suffix_size(n), dtype=bool)
+    mask[offsets] = True
+    return mask
+
+
 def joined_prefix(n):
     """Rows in which the first n - 5 vertices F form a complete symmetric graph
     and every vertex of F and every vertex of the last five point at each other."""
@@ -275,7 +287,8 @@ def joined_prefix(n):
 
 
 class TestPrefixFactoredKernel:
-    """_chunk_verdict against the general verdict on the same rows."""
+    """_chunk_candidates, through chunk_mask, against the general verdict on
+    every row of the chunk."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_agrees_with_general_verdict_on_every_chunk(self, n):
@@ -284,7 +297,7 @@ class TestPrefixFactoredKernel:
             prefix = _rows_at(n, start)
             rows = _rows_at(n, np.arange(start, start + suffix_size(n), dtype=np.int64))
             assert np.array_equal(suffix_rows(n) | prefix, rows), start  # the chunk factors
-            assert np.array_equal(_chunk_verdict(n, prefix), _no_satisfactory_vertex(rows)), start
+            assert np.array_equal(chunk_mask(n, prefix), _no_satisfactory_vertex(rows)), start
 
     @pytest.mark.parametrize("n, chunks", [(7, 12), (8, 6)])
     def test_agrees_with_general_verdict_on_sampled_chunks(self, n, chunks):
@@ -292,7 +305,7 @@ class TestPrefixFactoredKernel:
         for k in rng.integers(0, space_size(n) // suffix_size(n), chunks).tolist():
             start = k * suffix_size(n)
             expected = mask_at(n, start, start + suffix_size(n))
-            assert np.array_equal(_chunk_verdict(n, _rows_at(n, start)), expected), start
+            assert np.array_equal(chunk_mask(n, _rows_at(n, start)), expected), start
 
     # with F joined both ways to everything, F's vertices have N2 empty and a
     # suffix vertex u has N1 = S[u] + F and N2 = the suffix minus S[u] and u:
@@ -301,7 +314,7 @@ class TestPrefixFactoredKernel:
     @pytest.mark.parametrize("n, planted", [(6, 24), (7, 24), (8, 16_168)])
     def test_joined_digon_prefix_plants_counterexamples(self, n, planted):
         prefix = joined_prefix(n)
-        verdict = _chunk_verdict(n, prefix)
+        verdict = chunk_mask(n, prefix)
         assert np.array_equal(verdict, general_verdict(n, prefix))
         out_degrees = np.unpackbits(suffix_rows(n)[:, n - 5 :, None], axis=2).sum(axis=2)
         assert np.array_equal(verdict, (2 * out_degrees > 4 - (n - 5)).all(axis=1))
@@ -316,7 +329,7 @@ class TestPrefixFactoredKernel:
             adj[f:, f:] = False  # the suffix vertices' prefix rows point only into F
             np.fill_diagonal(adj, False)
             prefix = _packed_rows(adj)[:, 0]
-            verdict = _chunk_verdict(n, prefix)
+            verdict = chunk_mask(n, prefix)
             assert np.array_equal(verdict, general_verdict(n, prefix))
             both += verdict.any() and not verdict.all()
         assert both  # some prefix gives both answers
@@ -325,7 +338,7 @@ class TestPrefixFactoredKernel:
         # 0 <-> 1 and 2 -> 0 at n=6: a suffix vertex that points to 1 or 2
         # but not to 0 has 0 in N2; without that, 1,344 graphs would be reported
         prefix = np.array([0b10, 0b1, 0b1, 0, 0, 0], dtype=np.uint8)
-        verdict = _chunk_verdict(6, prefix)
+        verdict = chunk_mask(6, prefix)
         assert np.array_equal(verdict, general_verdict(6, prefix))
         assert verdict.sum() == 45
 
@@ -400,12 +413,13 @@ class TestDegreeLemma:
 
     def test_verdict_is_false_outside_the_kept_columns(self, monkeypatch):
         prefix = joined_prefix(6)  # 24 planted counterexamples
-        planted = np.flatnonzero(_chunk_verdict(6, prefix))
+        planted = np.flatnonzero(chunk_mask(6, prefix))
+        assert len(planted) == 24
         dropped = planted[::2]
         keep = np.setdiff1d(np.arange(suffix_size(6)), dropped)
-        columns = (keep, *(table[:, keep] for table in _suffix_table(6)))
+        columns = (keep, suffix_rows(6)[keep])
         monkeypatch.setattr(search, "_kept_columns", lambda n, adj: columns)
-        assert np.flatnonzero(_chunk_verdict(6, prefix)).tolist() == planted[1::2].tolist()
+        assert np.flatnonzero(chunk_mask(6, prefix)).tolist() == planted[1::2].tolist()
 
 
 NEEDS = list(itertools.product(range(3), repeat=5))
@@ -414,7 +428,7 @@ NEEDS = list(itertools.product(range(3), repeat=5))
 @pytest.fixture
 def fresh_need_cache():
     """An empty _kept_suffix cache, emptied again after the test: all 243
-    needs at n = 8 hold about 80 MiB."""
+    needs at n = 8 hold about 41 MiB."""
     _kept_suffix.cache_clear()
     yield
     _kept_suffix.cache_clear()
@@ -422,20 +436,20 @@ def fresh_need_cache():
 
 @pytest.mark.usefixtures("fresh_need_cache")
 class TestNeedCache:
-    """_kept_suffix holds the kept columns once per n and need, the least
-    out-degree in S of each suffix vertex; _kept_columns maps a prefix to it."""
+    """_kept_suffix holds the kept offsets and rows once per n and need, the
+    least out-degree in S of each suffix vertex; _kept_columns maps a prefix
+    to it."""
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_every_need_equals_the_uncached_selection_and_gather(self, n):
-        degrees = np.unpackbits(suffix_rows(n)[:, n - 5 :, None], axis=2).sum(axis=2)
-        tables = _suffix_table(n)
+        rows = suffix_rows(n)
+        degrees = np.unpackbits(rows[:, n - 5 :, None], axis=2).sum(axis=2)
         for need in NEEDS:
             keep = np.flatnonzero((degrees >= need).all(axis=1))
             cached = _kept_suffix(n, need)
             assert _kept_suffix(n, need) is cached
-            assert len(cached) == 4 and np.array_equal(cached[0], keep), need
-            for table, columns in zip(tables, cached[1:]):
-                assert np.array_equal(columns, table[:, keep]), need
+            assert len(cached) == 2 and np.array_equal(cached[0], keep), need
+            assert np.array_equal(cached[1], rows[keep]), need
         assert len(_kept_suffix(n, (0,) * 5)[0]) == suffix_size(n)
         assert _kept_suffix.cache_info().currsize == len(NEEDS)
 
@@ -444,8 +458,8 @@ class TestNeedCache:
             first = [_kept_suffix(n, need) for n in (6, 7, 8)]
             for n, cached in zip((6, 7, 8), first):
                 assert cached is _kept_suffix(n, need)
-                assert [array.shape[0] for array in cached[1:]] == [n] * 3
-                assert np.array_equal(cached[1], _suffix_table(n)[0][:, cached[0]])
+                assert cached[1].shape == (len(cached[0]), n)
+                assert np.array_equal(cached[1], suffix_rows(n)[cached[0]])
 
     def test_cached_arrays_are_read_only(self):
         for n, need in [(1, (2,)), (4, (0, 1, 2, 0)), (6, (1, 2, 1, 2, 2)), (8, (0,) * 5)]:
@@ -504,7 +518,7 @@ def test_a_chunk_without_candidates_decodes_only_its_prefix(monkeypatch):
     plant_chunk_candidate(monkeypatch, starts[1] + 5)
     result = search._search_chunk((spec, starts[1], starts[1] + _EXHAUSTIVE_CHUNK))
     assert result.counterexamples == 1
-    assert decoded == [0, 0, 0, 1]  # the prefix, then the candidates
+    assert decoded == [0, 0, 0]  # the candidate's rows come with it: only the prefix
 
 
 @settings(max_examples=200, deadline=None)
@@ -556,18 +570,21 @@ class TestVerdictsLeaveInputsAlone:
 
     @pytest.mark.parametrize("n", [1, 4, 6, 7, 8])
     def test_chunk_verdict_keeps_prefix_and_suffix_tables(self, n):
-        tables = _suffix_table(n)
-        before = [table.tobytes() for table in tables]
+        tables = _suffix_rows(n)
+        before = tables.tobytes()
+        assert before == suffix_rows(n).tobytes()
         prefixes = [_rows_at(n, 0), _rows_at(n, space_size(n) - suffix_size(n))]
         if n >= 6:
             prefixes.append(joined_prefix(n))
         for prefix in prefixes:
-            kept = prefix.tobytes()
-            _chunk_verdict(n, prefix)
+            kept, columns = prefix.tobytes(), _kept_columns(n, _unpacked(prefix))
+            cached = [array.tobytes() for array in columns]
+            _chunk_candidates(n, prefix)
             assert prefix.tobytes() == kept
-        assert _suffix_table(n) is tables
-        assert [table.tobytes() for table in tables] == before
-        assert not any(table.flags.writeable for table in tables)
+            assert [array.tobytes() for array in columns] == cached
+        assert _suffix_rows(n) is tables
+        assert tables.tobytes() == before
+        assert not tables.flags.writeable
 
     @pytest.mark.parametrize("n", [3, 6, 9, 20, 40, 64, 70, 129])
     def test_general_verdict_keeps_its_rows(self, n):
@@ -986,22 +1003,22 @@ def test_planted_random_candidate_is_recorded(monkeypatch, filter_enabled):
 def plant_chunk_candidate(monkeypatch, index):
     """Make the graph at index the one the exhaustive kernel reports, and still run the real one."""
     start = index - index % _EXHAUSTIVE_CHUNK
-    real = search._chunk_verdict
+    real = search._chunk_candidates
 
-    def verdict(n, prefix):
-        mask = real(n, prefix)
-        assert not mask.any()
+    def candidates(n, prefix):
+        offsets, rows = real(n, prefix)
+        assert not len(offsets) and rows.shape == (0, n)
         if np.array_equal(prefix, _rows_at(n, start)):
-            mask[index - start] = True
-        return mask
+            return np.array([index - start]), _rows_at(n, np.array([index]))
+        return offsets, rows
 
-    monkeypatch.setattr(search, "_chunk_verdict", verdict)
+    monkeypatch.setattr(search, "_chunk_candidates", candidates)
 
 
 @pytest.mark.parametrize("filter_enabled", [False, True])
 def test_planted_exhaustive_candidate_is_recorded(monkeypatch, filter_enabled):
     # index 7 * 3^10 gives vertex 0 out-degree 1, so the kernel decides that
-    # chunk whole and the wrapper sets a bit of its full-length mask
+    # chunk whole and the wrapper returns the graph at index in its place
     n, index = 6, 7 * _EXHAUSTIVE_CHUNK + 31_415
     plant_chunk_candidate(monkeypatch, index)
     spec = dict(mode="exhaustive", n=n, filter_enabled=filter_enabled)
@@ -1089,3 +1106,56 @@ class TestWorkerLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: 100000 workers exceed the limit of {MAX_WORKERS}\n"
+
+
+class TestVertexLimit:
+    """A random graph needs an (n, n) matrix, so n past the square root of
+    textio.MAX_ROW_BITS is refused before anything is drawn."""
+
+    @pytest.fixture
+    def forbid_draws(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a draw started past the vertex limit")
+
+        monkeypatch.setattr(search.np.random, "SeedSequence", forbidden)
+        monkeypatch.setattr(search, "_search_chunk", forbidden)
+        monkeypatch.setattr(search.multiprocessing, "Pool", forbidden)
+        return forbidden
+
+    @pytest.mark.parametrize("n", [MAX_RANDOM_VERTICES + 1, 10**6])
+    def test_spec_and_draws_reject_n_past_the_limit(self, forbid_draws, n):
+        assert MAX_RANDOM_VERTICES == 16_384
+        for model in search.RANDOM_MODELS:
+            spec = SearchSpec(mode="random", model=model, n=n, p=0.5, count=1, workers=2)
+            for call in (spec.validate, lambda: run_search(spec)):
+                with pytest.raises(TooManyVertices) as exc:
+                    call()
+                assert (exc.value.n, exc.value.limit) == (n, MAX_RANDOM_VERTICES)
+            with pytest.raises(TooManyVertices):
+                search.random_graph(model, n, 0.5, 0)
+        for draw in (random_digon_free, random_acyclic, random_triangle_free):
+            with pytest.raises(TooManyVertices):
+                draw(n, 0.5, 0)
+        with pytest.raises(TooManyVertices):
+            random_tournament(n, 0)
+
+    def test_n_at_the_limit_validates(self, forbid_draws):
+        n = MAX_RANDOM_VERTICES
+        for model in search.RANDOM_MODELS:
+            SearchSpec(mode="random", model=model, n=n, p=0.5, count=1).validate()
+            with pytest.raises(AssertionError, match="a draw started"):
+                search.random_graph(model, n, 0.5, 0)  # past the check, stopped at the draw
+
+    @pytest.mark.parametrize("command", ["search", "generate"])
+    def test_cli_exits_one(self, forbid_draws, capsys, tmp_path, command):
+        n = 10**6
+        argv = [command, "--model", "tournament", "--n", str(n), "--seed", "1"]
+        if command == "search":
+            argv += ["--mode", "random", "--count", "1"]
+        else:
+            argv += ["-o", str(tmp_path / "g.txt")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {n} vertices exceed the limit of {MAX_RANDOM_VERTICES}\n"
+        assert not (tmp_path / "g.txt").exists()
