@@ -564,9 +564,10 @@ class TestPopcount:
 
 
 class TestVerdictsLeaveInputsAlone:
-    """Neither verdict writes to its input or to the suffix tables.  A bit
-    count that wrote over the prefix would change no search result, since
-    the search decodes each prefix afresh, so only these tests see it."""
+    """Neither the chunk step nor the verdict writes to its input or to the
+    cached suffix rows.  A bit count that wrote over the prefix would change
+    no search result, since the search decodes each prefix afresh, so only
+    these tests see it."""
 
     @pytest.mark.parametrize("n", [1, 4, 6, 7, 8])
     def test_chunk_verdict_keeps_prefix_and_suffix_tables(self, n):
