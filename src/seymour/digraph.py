@@ -111,13 +111,14 @@ def _rows(n: int, stride: int, keys: np.ndarray) -> Rows:
 
 
 def _packed_rows(adj: np.ndarray) -> np.ndarray:
-    """(n, W) out-rows of an (n, n) bool matrix: bit v % B of word v // B of
-    row u is set iff adj[u, v].  The words are the narrowest unsigned dtype
-    of B >= n bits, or W = ceil(n / 64) uint64 words past 64 vertices."""
-    n = adj.shape[0]
+    """(..., n, W) out-rows of a (..., n, n) bool stack: bit v % B of word
+    v // B of row u is set iff adj[..., u, v].  The words are the narrowest
+    unsigned dtype of B >= n bits, or W = ceil(n / 64) uint64 words past 64
+    vertices."""
+    n = adj.shape[-1]
     size = next((s for s in (1, 2, 4) if n <= 8 * s), 8)  # bytes per word
-    packed = np.zeros((n, -(-n // (8 * size)) * size), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+    packed = np.zeros(adj.shape[:-1] + (-(-n // (8 * size)) * size,), dtype=np.uint8)
+    packed[..., : -(-n // 8)] = np.packbits(adj, axis=-1, bitorder="little")
     return packed.view(f"<u{size}")
 
 

@@ -6,14 +6,15 @@ labeled graphs, ordered by the base-3 state vector (pairs (0,1), (0,2), ...,
 (n-2,n-1), earlier pairs most significant); index -> graph is a pure
 function, so index ranges partition cleanly across workers.
 
-Both modes ask "is there a satisfactory vertex?" of a whole chunk at once, in
-one verdict on packed out-rows.  An exhaustive chunk (uint8 rows, so n <= 8)
-is one prefix, the pairs touching the first n - 5 vertices, under all 3^10
-graphs on the last five, whose rows are tabled once per n.  A digon-free
-prefix needs each suffix vertex to reach out-degree 2 in those five; the
-suffix graphs that do are cached per vector of needs (3^5 of them), and only
-they, ORed with the prefix, reach the verdict.  Random samples reach it packed
-as drawn.  Only the (expected zero) graphs without one become Digraphs.
+Both modes ask "is there a satisfactory vertex?" of a whole task at once, in
+one verdict on packed out-rows.  An exhaustive task (uint8 rows, so n <= 8)
+is a run of 27 prefixes, the pairs touching the first n - 5 vertices, each
+under all 3^10 graphs on the last five, whose rows are tabled once per n.  The
+task decodes and gates its prefixes together.  A digon-free prefix needs each
+suffix vertex to reach out-degree 2 in those five; the suffix graphs that do
+are cached per vector of needs (3^5 of them), and only they, ORed with their
+prefix, reach the task's one verdict.  A random chunk is packed once, as one
+stack of draws.  Only the (expected zero) graphs without one become Digraphs.
 
 Randomness is implementation-pinned: PCG64 seeded through SeedSequence, and
 sample i draws from entropy (seed, i), so serial and parallel runs agree.
@@ -43,9 +44,11 @@ MAX_RANDOM_VERTICES = math.isqrt(MAX_ROW_BITS)  # so a draw has at most MAX_ROW_
 
 RANDOM_MODELS = ("tournament", "digon_free", "acyclic", "triangle_free")
 
-_SUFFIX_VERTICES = 5  # an exhaustive chunk runs over every graph on the last five
+_SUFFIX_VERTICES = 5  # each prefix runs over every graph on the last five
 _EXHAUSTIVE_CHUNK = 3**10  # their C(5, 2) pair digits, the least significant
-_RANDOM_CHUNK = 128
+_TASK_PREFIXES = 27  # consecutive prefixes per exhaustive task: 3^13 indices
+_RANDOM_CHUNK = 128  # most samples per random chunk; fewer past 181 vertices
+_VERDICT_ROWS = 2**15  # most graphs per verdict pass, so that its arrays stay in cache
 _POOL_BATCH = 64  # most chunks sent to a worker at once
 _ROW_WIDTH = 8  # vertices a uint8 out-row can hold
 _GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
@@ -131,6 +134,17 @@ def _popcount(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_and(x, np.uint8(0x0F), out=x)
 
 
+def _row_counts(words: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Set bits per (..., W) row of unsigned words, as dtype: a multiply by
+    0x01...01 sums each word's byte counts (at most 64) into its top byte."""
+    size, word = words.itemsize, words.dtype.type
+    counts = _popcount(words.view(np.uint8)).view(words.dtype)
+    if size > 1:
+        counts *= word((1 << 8 * size) // 255)
+        counts >>= word(8 * (size - 1))
+    return counts.sum(axis=-1, dtype=dtype)
+
+
 @functools.cache
 def _own_bits(n: int) -> np.ndarray:
     """Bit u of row u, as (n, 1, W) packed rows that broadcast over a batch."""
@@ -141,14 +155,17 @@ def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
     """Per graph of an (N, n) or (N, n, W) batch of loop-free out-rows laid
     out as _packed_rows lays out n vertices, digons allowed: True iff no
     vertex has |N1| <= |N2|.  Must agree with Digraph.profile."""
+    if len(rows) > _VERDICT_ROWS:  # 300,000 graphs at once cost 2.6x as much per graph
+        blocks = range(0, len(rows), _VERDICT_ROWS)
+        return np.concatenate([_no_satisfactory_vertex(rows[i : i + _VERDICT_ROWS]) for i in blocks])
     n = rows.shape[1]
     cols = rows.reshape(len(rows), n, -1).transpose(1, 0, 2).copy()  # (n, N, W): per vertex
     count = np.min_scalar_type(n)  # holds any popcount; wider sums cost time
-    n1 = _popcount(cols.view(np.uint8)).sum(axis=2, dtype=count)
+    n1 = _row_counts(cols, count)
     reach = _two_step(cols)
     reach &= ~(cols | _own_bits(n))  # N2 leaves out N1 and u itself
     del cols  # not held through the N2 popcount
-    n2 = _popcount(reach.view(np.uint8)).sum(axis=2, dtype=count)
+    n2 = _row_counts(reach, count)
     return ~(n1 <= n2).any(axis=0)
 
 
@@ -168,33 +185,38 @@ def _kept_suffix(n: int, need: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return _frozen(keep, rows[keep])
 
 
-def _kept_columns(n: int, adj: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_kept_suffix for the suffix graphs S for which P | S may lack a
-    satisfactory vertex, P the prefix rows with matrix adj: every S if P has a
-    digon, else those in which every vertex has out-degree >= 2, so a suffix
-    vertex with d out-neighbours in F needs max(0, 2 - d) in S.  In a digon-free
-    graph a sink is satisfactory, and so is u with N1(u) = {v} unless v is a
-    sink, since then N2(u) = N1(v)."""
-    f, degrees = max(0, n - _SUFFIX_VERTICES), adj.sum(axis=1)
-    if (adj & adj.T).any():
-        need = [0] * (n - f)
-    elif (degrees[:f] <= 1).any():  # a vertex of F has no suffix out-neighbours
-        need = [_SUFFIX_VERTICES] * (n - f)  # more than a suffix vertex can have
-    else:
-        need = np.maximum(0, 2 - degrees[f:]).tolist()
-    return _kept_suffix(n, tuple(need))
+def _kept_columns(n: int, adj: np.ndarray) -> dict[int, tuple[np.ndarray, ...]]:
+    """From each live prefix b of a (B, n, n) stack of prefix matrices P to
+    _kept_suffix for the suffix graphs S for which P | S may lack a
+    satisfactory vertex: every S if P has a digon, else those in which every
+    vertex has out-degree >= 2, so a suffix vertex with d out-neighbours in F
+    needs max(0, 2 - d) in S, and P is dead if a vertex of F has at most 1.
+    In a digon-free graph a sink is satisfactory, and so is u with N1(u) = {v}
+    unless v is a sink, since then N2(u) = N1(v)."""
+    f, degrees = max(0, n - _SUFFIX_VERTICES), adj.sum(axis=2)
+    digon = (adj & adj.transpose(0, 2, 1)).any(axis=(1, 2))
+    dead = ~digon & (degrees[:, :f] <= 1).any(axis=1)  # a vertex of F decides it
+    need = np.where(digon[:, None], 0, np.maximum(0, 2 - degrees[:, f:])).tolist()
+    return {b: _kept_suffix(n, tuple(need[b])) for b in np.flatnonzero(~dead).tolist()}
 
 
-def _chunk_candidates(n: int, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and rows of the graphs prefix | S with no satisfactory vertex, S
-    the suffix graphs of _suffix_rows(n), prefix the rows of the pairs touching
-    F, the first n - 5 vertices; only those _kept_columns picks reach the verdict."""
-    keep, rows = _kept_columns(n, _unpacked(prefix))
-    if not len(keep):  # the whole chunk has a satisfactory vertex
-        return keep, rows
-    rows = rows | prefix
+def _chunk_candidates(n: int, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets b * 3^10 + s and rows of the graphs prefixes[b] | S with no
+    satisfactory vertex, S the suffix graph at offset s of _suffix_rows(n); a
+    prefix holds the rows of the pairs touching F, the first n - 5 vertices (an
+    (n,) one is a stack of one).  Only the S _kept_columns keeps reach the verdict."""
+    prefixes = prefixes.reshape(-1, n)
+    adj = np.unpackbits(prefixes[:, :, None], axis=2, count=n, bitorder="little").view(bool)
+    kept = _kept_columns(n, adj)
+    live, sizes = list(kept), [len(keep) for keep, _ in kept.values()]
+    if not sum(sizes):  # every graph of the task has a satisfactory vertex
+        return np.zeros(0, dtype=np.intp), prefixes[:0]
+    offsets = np.concatenate([keep for keep, _ in kept.values()])  # copies of the
+    rows = np.concatenate([rows for _, rows in kept.values()])  # read-only cache
+    offsets += np.repeat(np.array(live) * _EXHAUSTIVE_CHUNK, sizes)
+    rows |= np.repeat(prefixes[live], sizes, axis=0)
     found = _no_satisfactory_vertex(rows)
-    return keep[found], rows[found]
+    return offsets[found], rows[found]
 
 
 def graph_at_index(n: int, index: int) -> Digraph:
@@ -233,12 +255,12 @@ def _check_draw(model: str | None, n: int, p: float | None, max_retries: int) ->
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
 
 
-def _oriented(n: int, present: np.ndarray | bool, forward: np.ndarray) -> np.ndarray:
-    """Pair k of _pair_index(n), kept where present[k]: u -> v if forward[k]."""
+def _oriented(n: int, forward: np.ndarray, backward: np.ndarray | bool) -> np.ndarray:
+    """Pair k of _pair_index(n) as u -> v where forward[k], v -> u where backward[k]."""
     ahead, behind = _flat_pair_index(n)
     adj = np.zeros(n * n, dtype=bool)
-    adj[ahead] = present & forward
-    adj[behind] = present & ~forward
+    adj[ahead] = forward
+    adj[behind] = backward
     return adj.reshape(n, n)
 
 
@@ -256,13 +278,15 @@ def _draw_adjacency(
     _check_draw(model, n, p, max_retries)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if model == "tournament":
-        return _oriented(n, True, rng.random(pair_count(n)) < 0.5)
+        forward = rng.random(pair_count(n)) < 0.5
+        return _oriented(n, forward, ~forward)
     if model == "acyclic":  # vertex order[i] -> order[j] for kept pairs i < j
         rank = np.argsort(np.argsort(rng.random(n), kind="stable"))
-        return _oriented(n, rng.random(pair_count(n)) < p, np.True_)[np.ix_(rank, rank)]
+        return _oriented(n, rng.random(pair_count(n)) < p, False)[np.ix_(rank, rank)]
     # digon_free is one draw; triangle_free redraws until no transitive triangle
     for _ in range(max_retries if model == "triangle_free" else 1):
-        adj = _oriented(n, rng.random(pair_count(n)) < p, rng.random(pair_count(n)) < 0.5)
+        present, forward = rng.random(pair_count(n)) < p, rng.random(pair_count(n)) < 0.5
+        adj = _oriented(n, present & forward, present & ~forward)
         if model == "digon_free" or not _has_transitive_triangle(adj):
             return adj
     raise RetriesExhausted(max_retries)
@@ -404,12 +428,13 @@ def _record_counterexample(
 def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
     """One verdict over a chunk; only its candidates become Digraphs."""
     spec, start, stop = task
-    if spec.mode == "exhaustive":  # start is a multiple of 3^10: one prefix
-        candidates, rows = _chunk_candidates(spec.n, _rows_at(spec.n, start))
-    else:  # packed as drawn, so the chunk never holds an (N, n, n) bool stack
+    if spec.mode == "exhaustive":  # start is a multiple of 3^10: a run of prefixes
+        prefixes = _rows_at(spec.n, np.arange(start, stop, _EXHAUSTIVE_CHUNK))
+        candidates, rows = _chunk_candidates(spec.n, prefixes)
+    else:
         draw = functools.partial(_draw_adjacency, spec.model, spec.n, spec.p)
         seeds = [(spec.seed, i) for i in range(start, stop)]
-        rows = np.stack([_packed_rows(draw(seed, spec.max_retries)) for seed in seeds])
+        rows = _packed_rows(np.stack([draw(seed, spec.max_retries) for seed in seeds]))
         candidates = np.flatnonzero(_no_satisfactory_vertex(rows))
         rows = rows[candidates]
     result = _ChunkResult(examined=stop - start)
@@ -422,10 +447,12 @@ def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
 
 def _chunk_tasks(spec: SearchSpec) -> tuple[int, Iterator[tuple[SearchSpec, int, int]]]:
     """The number of chunks of spec, and a generator of them in index order."""
-    exhaustive = spec.mode == "exhaustive"
-    total = space_size(spec.n) if exhaustive else spec.count or 0
-    starts = range(0, total, _EXHAUSTIVE_CHUNK if exhaustive else _RANDOM_CHUNK)
-    return len(starts), ((spec, start, min(start + starts.step, total)) for start in starts)
+    if spec.mode == "exhaustive":
+        total, step = space_size(spec.n), _TASK_PREFIXES * _EXHAUSTIVE_CHUNK
+    else:  # a chunk stacks at most 2^22 adjacency entries, and the verdict n / 8 bytes each
+        total, step = spec.count or 0, min(_RANDOM_CHUNK, max(1, 2**22 // spec.n**2))
+    starts = range(0, total, step)
+    return len(starts), ((spec, start, min(start + step, total)) for start in starts)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,12 +37,14 @@ from seymour.cli import main
 from seymour.digraph import _packed_rows, _unpacked
 from seymour.search import (
     _EXHAUSTIVE_CHUNK,
+    _TASK_PREFIXES,
     _chunk_candidates,
     _kept_columns,
     _kept_suffix,
     _no_satisfactory_vertex,
     _pair_index,
     _popcount,
+    _row_counts,
     _row_tables,
     _rows_at,
     _suffix_rows,
@@ -188,6 +191,7 @@ class TestPackedRowKernel:
     @given(loop_free_adjacency_batches())
     def test_verdict_matches_oracle_on_multi_word_batches(self, batch):
         rows = np.stack([_packed_rows(adj) for adj in batch])
+        assert np.array_equal(_packed_rows(np.stack(batch)), rows)  # a stack packs as its parts
         expected = [
             not oracles.has_satisfactory_vertex(len(adj), edges_of_matrix(adj)) for adj in batch
         ]
@@ -342,6 +346,30 @@ class TestPrefixFactoredKernel:
         assert np.array_equal(verdict, general_verdict(6, prefix))
         assert verdict.sum() == 45
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_a_stack_finds_what_its_prefixes_find_one_by_one(self, n):
+        # planted positives at several places of one stack, between real
+        # prefixes: prefix b's candidates come back at offsets b * 3^10 + s
+        rng = np.random.default_rng(600 + n)
+        real = _rows_at(n, rng.integers(0, space_size(n) // suffix_size(n), 3) * suffix_size(n))
+        planted = [joined_prefix(n), digon_prefix(rng, n), joined_prefix(n)]
+        prefixes = np.stack([real[0], planted[0], real[1], planted[1], planted[2], real[2]])
+        offsets, rows = _chunk_candidates(n, prefixes)
+        alone = [_chunk_candidates(n, prefix) for prefix in prefixes]
+        shifted = [b * suffix_size(n) + found for b, (found, _) in enumerate(alone)]
+        assert np.array_equal(offsets, np.concatenate(shifted))
+        assert np.array_equal(rows, np.concatenate([found for _, found in alone]))
+        assert len(alone[1][0]) == len(alone[4][0]) > 0  # the joined prefixes plant some
+
+
+def test_verdict_blocks_do_not_change_its_answer(monkeypatch):
+    rows = suffix_rows(8) | joined_prefix(8)  # 59,049 graphs, past one block of 2^15
+    whole = _no_satisfactory_vertex(rows)
+    assert whole.sum() == 16_168
+    for block in (1_000, len(rows)):
+        monkeypatch.setattr(search, "_VERDICT_ROWS", block)
+        assert np.array_equal(_no_satisfactory_vertex(rows), whole), block
+
 
 def digon_prefix(rng, n):
     """Random prefix rows with a digon 0 <-> v: the suffix vertices' prefix
@@ -354,9 +382,28 @@ def digon_prefix(rng, n):
     return _packed_rows(adj)[:, 0]
 
 
+def matrices(prefixes):
+    """The (B, n, n) bool stack of a (B, n) stack of prefix rows."""
+    return np.stack([_unpacked(prefix) for prefix in prefixes])
+
+
 def kept_columns(n, prefix):
     """The indices of the suffix graphs the kernel keeps under prefix rows."""
-    return _kept_columns(n, _unpacked(prefix))[0]
+    kept = _kept_columns(n, matrices([prefix]))
+    return kept[0][0] if kept else np.zeros(0, dtype=np.intp)
+
+
+BYTE_BITS = np.array([value.bit_count() for value in range(256)])
+
+
+def per_prefix_kept(n, prefix):
+    """The gate's oracle for one prefix: every suffix offset if its rows hold a
+    digon, else those at which every vertex of prefix | S has out-degree >= 2,
+    counted by Python's int.bit_count."""
+    edges = set(edges_of_rows(prefix.tolist()))
+    if any((v, u) in edges for u, v in edges):
+        return np.arange(suffix_size(n))
+    return np.flatnonzero(BYTE_BITS[suffix_rows(n) | prefix].min(axis=1) >= 2)
 
 
 def min_degree_offsets(n, start):
@@ -418,8 +465,33 @@ class TestDegreeLemma:
         dropped = planted[::2]
         keep = np.setdiff1d(np.arange(suffix_size(6)), dropped)
         columns = (keep, suffix_rows(6)[keep])
-        monkeypatch.setattr(search, "_kept_columns", lambda n, adj: columns)
+        monkeypatch.setattr(search, "_kept_columns", lambda n, adj: {0: columns})
         assert np.flatnonzero(chunk_mask(6, prefix)).tolist() == planted[1::2].tolist()
+
+    @pytest.mark.parametrize("n, tasks", [(6, None), (7, 3), (8, 2)])
+    def test_a_stack_of_prefixes_is_gated_as_each_one_alone(self, n, tasks):
+        # all 243 n=6 prefixes in one stack, or seeded whole tasks, each with
+        # a digon prefix slipped in at a seeded place: digon, dead and live
+        # prefixes share one call, and each must be gated as on its own
+        rng = np.random.default_rng(500 + n)
+        if tasks is None:
+            runs = [np.arange(space_size(n) // suffix_size(n))]
+        else:
+            first = rng.integers(0, space_size(n) // suffix_size(n) // _TASK_PREFIXES, tasks)
+            runs = [k * _TASK_PREFIXES + np.arange(_TASK_PREFIXES) for k in first.tolist()]
+        live = dead = 0
+        for run in runs:
+            prefixes = _rows_at(n, run * suffix_size(n))
+            at = int(rng.integers(0, len(prefixes) + 1))
+            prefixes = np.insert(prefixes, at, digon_prefix(rng, n), axis=0)
+            kept = _kept_columns(n, matrices(prefixes))
+            for b, prefix in enumerate(prefixes):
+                expected = per_prefix_kept(n, prefix)
+                assert (b in kept) == bool(len(expected)), b  # only live prefixes look up
+                assert np.array_equal(kept[b][0] if b in kept else [], expected), b
+            assert len(kept[at][0]) == suffix_size(n)
+            live, dead = live + len(kept) - 1, dead + len(prefixes) - len(kept)
+        assert live and dead
 
 
 NEEDS = list(itertools.product(range(3), repeat=5))
@@ -463,7 +535,9 @@ class TestNeedCache:
 
     def test_cached_arrays_are_read_only(self):
         for n, need in [(1, (2,)), (4, (0, 1, 2, 0)), (6, (1, 2, 1, 2, 2)), (8, (0,) * 5)]:
-            columns = [_kept_suffix(n, need), _kept_columns(n, _unpacked(_rows_at(n, 0)))]
+            prefixes = [_rows_at(n, 0)] + ([joined_prefix(n)] if n >= 6 else [])
+            columns = [_kept_suffix(n, need), *_kept_columns(n, matrices(prefixes)).values()]
+            assert len(columns) == 2  # prefix 0 is dead at n = 6 and 8, the joined one live
             for array in itertools.chain(*columns):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -480,45 +554,48 @@ class TestNeedCache:
         else:
             rng = np.random.default_rng(400 + n)
             starts = rng.integers(0, space_size(n) // suffix_size(n), chunks) * suffix_size(n)
-        for start in [int(start) for start in starts]:
+        starts = [int(start) for start in starts]
+        kept = _kept_columns(n, matrices(_rows_at(n, np.array(starts))))  # one stack
+        for b, start in enumerate(starts):
             degrees = [0] * n
             for u, _ in oracles.digon_free_edges_at(n, start):
                 degrees[u] += 1
-            columns = _kept_columns(n, _unpacked(_rows_at(n, start)))
             if min(degrees[:f]) <= 1:
-                assert not len(columns[0]), start
+                assert b not in kept, start
                 counts["pruned"] += 1
             else:
                 need = tuple(max(0, 2 - d) for d in degrees[f:])
-                assert columns is _kept_suffix(n, need), start
+                assert kept[b] is _kept_suffix(n, need), start
                 counts["looked up"] += 1
                 counts["clamped"] += max(degrees[f:]) > 2
         assert counts["pruned"] and counts["looked up"]
         assert bool(counts["clamped"]) == (n == 8)
-        for prefix in [joined_prefix(n), digon_prefix(np.random.default_rng(n), n)]:
-            assert _kept_columns(n, _unpacked(prefix)) is _kept_suffix(n, (0,) * 5)
+        prefixes = [joined_prefix(n), digon_prefix(np.random.default_rng(n), n)]
+        kept = _kept_columns(n, matrices(prefixes))
+        assert [cached is _kept_suffix(n, (0,) * 5) for cached in kept.values()] == [True] * 2
 
 
 def test_a_chunk_without_candidates_decodes_only_its_prefix(monkeypatch):
-    n, spec = 6, SearchSpec(mode="exhaustive", n=6)
+    n, spec, step = 6, SearchSpec(mode="exhaustive", n=6), _TASK_PREFIXES * _EXHAUSTIVE_CHUNK
     kept = [len(kept_columns(n, _rows_at(n, k * _EXHAUSTIVE_CHUNK))) for k in range(243)]
-    starts = [k * _EXHAUSTIVE_CHUNK for k in (kept.index(0), kept.index(max(kept)))]
+    starts = [k // _TASK_PREFIXES * step for k in (kept.index(0), kept.index(max(kept)))]
+    assert starts[0] != starts[1]
     decoded = []
     real = search._rows_at
 
     def rows_at(n, index):
-        decoded.append(np.ndim(index))
+        decoded.append(np.shape(index))
         return real(n, index)
 
     monkeypatch.setattr(search, "_rows_at", rows_at)
-    for start in starts:  # one chunk decided whole, one with the most kept columns
-        result = search._search_chunk((spec, start, start + _EXHAUSTIVE_CHUNK))
-        assert (result.examined, result.counterexamples) == (_EXHAUSTIVE_CHUNK, 0)
-    assert decoded == [0, 0]  # each prefix, once
+    for start in starts:  # a task with a prefix decided whole, the one with the most kept columns
+        result = search._search_chunk((spec, start, start + step))
+        assert (result.examined, result.counterexamples) == (step, 0)
+    assert decoded == [(_TASK_PREFIXES,)] * 2  # each task's prefixes, in one call
     plant_chunk_candidate(monkeypatch, starts[1] + 5)
-    result = search._search_chunk((spec, starts[1], starts[1] + _EXHAUSTIVE_CHUNK))
+    result = search._search_chunk((spec, starts[1], starts[1] + step))
     assert result.counterexamples == 1
-    assert decoded == [0, 0, 0]  # the candidate's rows come with it: only the prefix
+    assert decoded == [(_TASK_PREFIXES,)] * 3  # the candidate's rows come with it
 
 
 @settings(max_examples=200, deadline=None)
@@ -561,6 +638,9 @@ class TestPopcount:
         sums = _popcount(rows.view(np.uint8)).sum(axis=1)
         assert sums.tolist() == [bin(word_value(row)).count("1") for row in rows]
         assert sums.tolist() == adj.sum(axis=1).tolist()
+        before = rows.tobytes()
+        assert _row_counts(rows, np.min_scalar_type(n)).tolist() == sums.tolist()
+        assert rows.tobytes() == before  # the word sums work on a copy
 
 
 class TestVerdictsLeaveInputsAlone:
@@ -577,11 +657,12 @@ class TestVerdictsLeaveInputsAlone:
         prefixes = [_rows_at(n, 0), _rows_at(n, space_size(n) - suffix_size(n))]
         if n >= 6:
             prefixes.append(joined_prefix(n))
-        for prefix in prefixes:
-            kept, columns = prefix.tobytes(), _kept_columns(n, _unpacked(prefix))
+        for batch in [*prefixes, np.stack(prefixes)]:  # one at a time, then one task
+            kept = batch.tobytes()
+            columns = [*itertools.chain(*_kept_columns(n, matrices(batch.reshape(-1, n))).values())]
             cached = [array.tobytes() for array in columns]
-            _chunk_candidates(n, prefix)
-            assert prefix.tobytes() == kept
+            _chunk_candidates(n, batch)
+            assert batch.tobytes() == kept
             assert [array.tobytes() for array in columns] == cached
         assert _suffix_rows(n) is tables
         assert tables.tobytes() == before
@@ -771,7 +852,7 @@ class TestRunSearch:
         assert report_fingerprint(run_search(spec)) == report_fingerprint(
             run_search(SearchSpec(mode="exhaustive", n=6))
         )
-        assert (sizes, batches) == ([3, 2], [1, 30])  # 243 chunks, 4 batches per worker
+        assert (sizes, batches) == ([3, 2], [1, 1])  # 9 tasks: fewer than 4 batches per worker
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunks_are_made_as_they_are_taken(self, monkeypatch, workers):
@@ -793,11 +874,11 @@ class TestRunSearch:
         inline_pool(monkeypatch)
         report = run_search(SearchSpec(mode="exhaustive", n=6, workers=workers))
         assert report.graphs_examined == space_size(6)
-        assert made == list(range(0, space_size(6), _EXHAUSTIVE_CHUNK))
-        assert taken == list(range(1, 244))  # chunk i runs when i + 1 are made
+        assert made == list(range(0, space_size(6), 3**13))  # 27 prefixes per task
+        assert taken == list(range(1, 10))  # task i runs when i + 1 are made
         chunks, generator = real_tasks(SearchSpec(mode="exhaustive", n=8, ceiling=8))
-        assert chunks == 3**18
-        assert next(generator) == (SearchSpec(mode="exhaustive", n=8, ceiling=8), 0, 3**10)
+        assert chunks == 3**15
+        assert next(generator) == (SearchSpec(mode="exhaustive", n=8, ceiling=8), 0, 3**13)
 
     def test_retry_limit_is_checked_before_any_worker_starts(self, monkeypatch):
         spec = SearchSpec(
@@ -1001,17 +1082,25 @@ def test_planted_random_candidate_is_recorded(monkeypatch, filter_enabled):
         assert solo.per_condition_rejections == [299] + [0] * 7
 
 
-def plant_chunk_candidate(monkeypatch, index):
-    """Make the graph at index the one the exhaustive kernel reports, and still run the real one."""
-    start = index - index % _EXHAUSTIVE_CHUNK
+def plant_chunk_candidate(monkeypatch, *indices):
+    """Make the graphs at indices the ones the exhaustive kernel reports, and
+    still run the real one: a task's candidate at prefix b of its run and
+    offset s in that prefix's chunk comes back as b * 3^10 + s."""
     real = search._chunk_candidates
 
-    def candidates(n, prefix):
-        offsets, rows = real(n, prefix)
+    def candidates(n, prefixes):
+        offsets, rows = real(n, prefixes)
         assert not len(offsets) and rows.shape == (0, n)
-        if np.array_equal(prefix, _rows_at(n, start)):
-            return np.array([index - start]), _rows_at(n, np.array([index]))
-        return offsets, rows
+        planted = []
+        for index in indices:
+            offset = index % _EXHAUSTIVE_CHUNK
+            prefix = _rows_at(n, index - offset)
+            for b in np.flatnonzero((prefixes == prefix).all(axis=1)).tolist():
+                planted.append((b * _EXHAUSTIVE_CHUNK + offset, index))
+        if not planted:
+            return offsets, rows
+        offsets, planted = zip(*sorted(planted))
+        return np.array(offsets), _rows_at(n, np.array(planted))
 
     monkeypatch.setattr(search, "_chunk_candidates", candidates)
 
@@ -1035,6 +1124,22 @@ def test_planted_exhaustive_candidate_is_recorded(monkeypatch, filter_enabled):
         assert record.index == index
         assert record.graph_text == write_digraph(graph_at_index(n, index))
         assert solo.per_condition_rejections == [space_size(n) - 1] + [0] * 7
+
+
+def test_exhaustive_report_does_not_depend_on_task_size(monkeypatch):
+    # planted in prefixes 7 and 241 of n = 6; runs of 10 prefixes leave a
+    # partial last task, 240-242, that holds prefix 241 at position 1
+    indices = [7 * _EXHAUSTIVE_CHUNK + 31_415, 241 * _EXHAUSTIVE_CHUNK + 5]
+    plant_chunk_candidate(monkeypatch, *indices)
+    fingerprints = []
+    for prefixes, workers in itertools.product([1, 10, 27], [1, 2]):
+        monkeypatch.setattr(search, "_TASK_PREFIXES", prefixes)
+        spec = SearchSpec(mode="exhaustive", n=6, workers=workers, filter_enabled=False)
+        assert search._chunk_tasks(spec)[0] == -(-243 // prefixes)
+        fingerprints.append(report_fingerprint(run_search(spec)))
+    assert all(fingerprint == fingerprints[0] for fingerprint in fingerprints)
+    assert [record["index"] for record in fingerprints[0]["filter_survivors"]] == indices
+    assert fingerprints[0]["counterexamples_found"] == 2
 
 
 def test_random_report_does_not_depend_on_chunk_size(monkeypatch):
@@ -1107,6 +1212,39 @@ class TestWorkerLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: 100000 workers exceed the limit of {MAX_WORKERS}\n"
+
+
+class TestRandomChunkSize:
+    """A random chunk stacks at most 2^22 adjacency entries, so its memory
+    does not grow with n^2 past 181 vertices."""
+
+    def test_samples_per_chunk_follow_n(self):
+        sizes = {}
+        for n in (5, 50, 181, 182, 1024, MAX_RANDOM_VERTICES):
+            spec = SearchSpec(mode="random", model="tournament", n=n, count=300)
+            chunks, tasks = search._chunk_tasks(spec)
+            _, start, stop = next(tasks)
+            sizes[n] = stop - start
+            assert chunks == -(-300 // sizes[n])
+        assert sizes == {5: 128, 50: 128, 181: 128, 182: 126, 1024: 4, MAX_RANDOM_VERTICES: 1}
+
+    def test_large_tournaments_stay_within_one_chunk_of_memory(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", forbidden)
+        spec = SearchSpec(mode="random", model="tournament", n=1024, count=32, seed=1)
+        run_search(SearchSpec(mode="random", model="tournament", n=1024, count=1))  # caches
+        tracemalloc.start()
+        try:
+            report = run_search(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.graphs_examined, report.counterexamples_found) == (32, 0)
+        # a chunk of 4 stacks 4 MiB of bools while one more draw holds its
+        # 523,776 doubles (4 MiB); one chunk of all 32 would stack 32 MiB
+        assert peak < 12 * 2**20
 
 
 class TestVertexLimit:
