@@ -86,6 +86,10 @@ class TooManyWorkers(DigraphError):
     fields = ("workers", "limit")
     template = "{workers} workers exceed the limit of {limit}"
 
+class TooManySamples(DigraphError):
+    fields = ("count", "limit")
+    template = "{count} samples exceed the limit of {limit}"
+
 class InvalidProbability(DigraphError):
     fields = ("p",)
     template = "probability must lie in [0, 1], got {p}"

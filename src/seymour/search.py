@@ -16,24 +16,29 @@ are cached per vector of needs (3^5 of them), and only they, ORed with their
 prefix, reach the task's one verdict.  A random chunk is packed once, as one
 stack of draws.  Only the (expected zero) graphs without one become Digraphs.
 
-Randomness is implementation-pinned: PCG64 seeded through SeedSequence, and
-sample i draws from entropy (seed, i), so serial and parallel runs agree.
+Randomness is implementation-pinned: sample i draws from numpy's
+Generator(PCG64(SeedSequence((seed, i)))), so serial and parallel runs agree.
+Those states are computed, not constructed: SeedSequence's hash and PCG64's
+seeding are fixed integer arithmetic, run over a whole chunk's entropy words
+at once, and each sample sets its state on one reused generator.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import multiprocessing
+import operator
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .digraph import Digraph, _packed_rows, _unpacked
 from .errors import CeilingExceeded, EmptyVertexSet, InvalidProbability
-from .errors import RetriesExhausted, TooManyVertices, TooManyWorkers
+from .errors import RetriesExhausted, TooManySamples, TooManyVertices, TooManyWorkers
 from .filtering import CONDITION_COUNT, PASS, ConditionVerdict, FilterReport, run_filter
 from .textio import MAX_ROW_BITS, write_digraph
 
@@ -41,6 +46,7 @@ DEFAULT_CEILING = 6
 DEFAULT_MAX_RETRIES = 1000  # rejection-sampling attempts per triangle-free graph
 MAX_WORKERS = 256  # worker processes one search may start
 MAX_RANDOM_VERTICES = math.isqrt(MAX_ROW_BITS)  # so a draw has at most MAX_ROW_BITS entries
+MAX_RANDOM_COUNT = 2**32  # samples per random search, so each index is one entropy word
 
 RANDOM_MODELS = ("tournament", "digon_free", "acyclic", "triangle_free")
 
@@ -52,6 +58,8 @@ _VERDICT_ROWS = 2**15  # most graphs per verdict pass, so that its arrays stay i
 _POOL_BATCH = 64  # most chunks sent to a worker at once
 _ROW_WIDTH = 8  # vertices a uint8 out-row can hold
 _GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 SeedLike = int | tuple[int, ...]
 
@@ -76,13 +84,6 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _pair_index(n: int) -> tuple[np.ndarray, ...]:
     """Tails and heads of the pairs u < v, in itertools.combinations order."""
     return _frozen(*np.triu_indices(n, 1))
-
-
-@functools.cache
-def _flat_pair_index(n: int) -> tuple[np.ndarray, ...]:
-    """Flat (n * n) positions of u -> v and v -> u for the pairs of _pair_index(n)."""
-    tails, heads = _pair_index(n)
-    return _frozen(tails * n + heads, heads * n + tails)
 
 
 @functools.cache
@@ -241,7 +242,65 @@ def enumerate_digon_free(n: int, ceiling: int = DEFAULT_CEILING) -> Iterator[Dig
 # -- seeded random models -----------------------------------------------------
 
 
-def _check_draw(model: str | None, n: int, p: float | None, max_retries: int) -> None:
+def _entropy_words(entropy: SeedLike) -> list[int]:
+    """numpy's SeedSequence entropy words: each int as little-endian 32-bit
+    words ([0] for 0), a tuple's ints concatenated."""
+    if isinstance(entropy, (tuple, list)):
+        return [word for part in entropy for word in _entropy_words(part)]
+    value = operator.index(entropy)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    return [value >> shift & _MASK32 for shift in range(0, max(1, value.bit_length()), 32)]
+
+
+def _hashmix(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix on uint32 arrays.  Its constant does not depend
+    on the data: it starts at const and each call multiplies it by mult."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    mixed = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return mixed ^ mixed >> np.uint32(16)
+
+
+def _seeded(entropies: list[list[int]]) -> Iterator[np.random.Generator]:
+    """One Generator, set in turn to the state of numpy's
+    Generator(PCG64(SeedSequence(e))) for the entropy words e of each row of
+    a rectangular list: the SeedSequence hash runs over all rows at once."""
+    words = np.array(entropies, dtype=np.uint32)
+    rows, size = words.shape
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # mix_entropy into a pool of 4 words
+    pool = [hashmix(words[:, i] if i < size else np.zeros(rows, np.uint32)) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, size):
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)  # generate_state(4, np.uint64)
+    seeds = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8")
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for init_hi, init_lo, seq_hi, seq_lo in seeds.tolist():  # PCG64's srandom
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (init_hi << 64 | init_lo)) * _PCG_MULT + inc) & _MASK128
+        pcg = {"state": state, "inc": inc}
+        bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _check_draw(
+    model: str | None, n: int, p: float | None, max_retries: int, seed: SeedLike
+) -> None:
     """The one check of a draw's parameters, made before anything is allocated."""
     if model not in RANDOM_MODELS:
         raise ValueError(f"unknown random model {model!r}")
@@ -253,15 +312,22 @@ def _check_draw(model: str | None, n: int, p: float | None, max_retries: int) ->
         raise InvalidProbability(p)
     if model == "triangle_free" and max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    _entropy_words(seed)  # raises on a negative seed
+
+
+@functools.cache
+def _upper(n: int) -> np.ndarray:
+    """The (n, n) bool mask of u < v: its True cells in order are _pair_index(n)."""
+    return _frozen(~np.tri(n, dtype=bool))[0]
 
 
 def _oriented(n: int, forward: np.ndarray, backward: np.ndarray | bool) -> np.ndarray:
     """Pair k of _pair_index(n) as u -> v where forward[k], v -> u where backward[k]."""
-    ahead, behind = _flat_pair_index(n)
-    adj = np.zeros(n * n, dtype=bool)
-    adj[ahead] = forward
-    adj[behind] = backward
-    return adj.reshape(n, n)
+    upper = _upper(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[upper] = forward
+    adj.T[upper] = backward
+    return adj
 
 
 def _has_transitive_triangle(adj: np.ndarray) -> bool:
@@ -271,12 +337,10 @@ def _has_transitive_triangle(adj: np.ndarray) -> bool:
 
 
 def _draw_adjacency(
-    model: str, n: int, p: float | None, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
+    model: str, n: int, p: float | None, rng: np.random.Generator, max_retries: int
 ) -> np.ndarray:
-    """The (n, n) bool matrix of one graph of a model in RANDOM_MODELS, drawn
-    from entropy seed (tournaments ignore p)."""
-    _check_draw(model, n, p, max_retries)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    """The (n, n) bool matrix of one graph of a checked model in RANDOM_MODELS,
+    drawn from rng (tournaments ignore p)."""
     if model == "tournament":
         forward = rng.random(pair_count(n)) < 0.5
         return _oriented(n, forward, ~forward)
@@ -292,33 +356,36 @@ def _draw_adjacency(
     raise RetriesExhausted(max_retries)
 
 
+def random_graph(
+    model: str, n: int, p: float | None, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
+) -> Digraph:
+    """One graph of a model in RANDOM_MODELS (tournaments ignore p), drawn
+    from entropy seed."""
+    _check_draw(model, n, p, max_retries, seed)
+    rng = next(_seeded([_entropy_words(seed)]))
+    return Digraph._from_adjacency(_draw_adjacency(model, n, p, rng, max_retries))
+
+
 def random_tournament(n: int, seed: SeedLike) -> Digraph:
     """Every unordered pair gets exactly one orientation, coin-flipped."""
-    return Digraph._from_adjacency(_draw_adjacency("tournament", n, None, seed))
+    return random_graph("tournament", n, None, seed)
 
 
 def random_digon_free(n: int, p: float, seed: SeedLike) -> Digraph:
     """Each unordered pair is oriented (fair coin) with probability p, else absent."""
-    return Digraph._from_adjacency(_draw_adjacency("digon_free", n, p, seed))
+    return random_graph("digon_free", n, p, seed)
 
 
 def random_acyclic(n: int, p: float, seed: SeedLike) -> Digraph:
     """A random topological order with each forward pair kept with probability p."""
-    return Digraph._from_adjacency(_draw_adjacency("acyclic", n, p, seed))
+    return random_graph("acyclic", n, p, seed)
 
 
 def random_triangle_free(
     n: int, p: float, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
 ) -> Digraph:
     """Rejection-sample digon-free graphs until none has a transitive triangle."""
-    return Digraph._from_adjacency(_draw_adjacency("triangle_free", n, p, seed, max_retries))
-
-
-def random_graph(
-    model: str, n: int, p: float | None, seed: SeedLike, max_retries: int = DEFAULT_MAX_RETRIES
-) -> Digraph:
-    """One graph of a model in RANDOM_MODELS (tournaments ignore p)."""
-    return Digraph._from_adjacency(_draw_adjacency(model, n, p, seed, max_retries))
+    return random_graph("triangle_free", n, p, seed, max_retries)
 
 
 # -- search specification and report ------------------------------------------
@@ -353,9 +420,11 @@ class SearchSpec:
         elif self.mode == "random":
             if self.p is None and self.model in RANDOM_MODELS and self.model != "tournament":
                 raise ValueError(f"model {self.model!r} needs an edge probability p")
-            _check_draw(self.model, self.n, self.p, self.max_retries)
+            _check_draw(self.model, self.n, self.p, self.max_retries, self.seed)
             if self.count is None or self.count < 1:
                 raise ValueError("random mode needs count >= 1")
+            if self.count > MAX_RANDOM_COUNT:
+                raise TooManySamples(self.count, MAX_RANDOM_COUNT)
         else:
             raise ValueError(f"unknown search mode {self.mode!r}")
 
@@ -433,8 +502,9 @@ def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
         candidates, rows = _chunk_candidates(spec.n, prefixes)
     else:
         draw = functools.partial(_draw_adjacency, spec.model, spec.n, spec.p)
-        seeds = [(spec.seed, i) for i in range(start, stop)]
-        rows = _packed_rows(np.stack([draw(seed, spec.max_retries) for seed in seeds]))
+        seed = _entropy_words(spec.seed)  # and each index is one word: see MAX_RANDOM_COUNT
+        rngs = _seeded([seed + [i] for i in range(start, stop)])
+        rows = _packed_rows(np.stack([draw(rng, spec.max_retries) for rng in rngs]))
         candidates = np.flatnonzero(_no_satisfactory_vertex(rows))
         rows = rows[candidates]
     result = _ChunkResult(examined=stop - start)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,6 +29,7 @@ from seymour.errors import (
     EmptyVertexSet,
     InvalidProbability,
     RetriesExhausted,
+    TooManySamples,
     TooManyVertices,
     TooManyWorkers,
 )
@@ -48,6 +49,7 @@ from seymour.search import (
     _row_tables,
     _rows_at,
     _suffix_rows,
+    MAX_RANDOM_COUNT,
     MAX_RANDOM_VERTICES,
     MAX_WORKERS,
     pair_count,
@@ -1027,18 +1029,56 @@ def test_pair_index_is_combinations_order():
         )
 
 
-def test_random_mode_looks_models_up_at_call_time(monkeypatch):
-    # profilers wrap the draw function as a seymour.search global
-    calls = []
-    real = search._draw_adjacency
+ENTROPY_INT = st.integers(0, 2**130 - 1)  # up to five words, so tuples reach the mixing loop
 
-    def recording(model, n, p, seed, max_retries):
-        calls.append(seed)
-        return real(model, n, p, seed, max_retries)
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ENTROPY_INT, st.lists(ENTROPY_INT, max_size=6).map(tuple)))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64)
+@example(())
+def test_seeding_matches_numpy(entropy):
+    rng = next(search._seeded([search._entropy_words(entropy)]))
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    assert rng.bit_generator.state == expected.bit_generator.state
+    assert rng.random(8).tolist() == expected.random(8).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(0, 2**32 - 1), min_size=size, max_size=size).map(tuple),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_seeding_a_batch_matches_seeding_each_row(entropies):
+    # ints below 2^32 are one word each, so each tuple is its own word list
+    states = [rng.bit_generator.state for rng in search._seeded([list(e) for e in entropies])]
+    assert states == [np.random.PCG64(np.random.SeedSequence(e)).state for e in entropies]
+
+
+def record_draw_states(monkeypatch):
+    """The generator state of each draw, recorded as the draw starts."""
+    calls, real = [], search._draw_adjacency
+
+    def recording(model, n, p, rng, max_retries):
+        calls.append(rng.bit_generator.state)
+        return real(model, n, p, rng, max_retries)
 
     monkeypatch.setattr(search, "_draw_adjacency", recording)
+    return calls
+
+
+def test_random_mode_looks_models_up_at_call_time(monkeypatch):
+    # profilers wrap the draw function as a seymour.search global
+    calls = record_draw_states(monkeypatch)
     run_search(SearchSpec(mode="random", model="tournament", n=5, count=3, seed=8))
-    assert calls == [(8, 0), (8, 1), (8, 2)]
+    assert calls == [np.random.PCG64(np.random.SeedSequence((8, i))).state for i in range(3)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1050,7 +1090,7 @@ def test_matrix_triangle_test_matches_bitset_form(adj):
 
 def plant_candidate(monkeypatch, model, n, p, seed, k):
     """Make sample k the one graph the verdict reports, and still run the real one."""
-    planted = _packed_rows(search._draw_adjacency(model, n, p, (seed, k)))
+    planted = _packed_rows(search.random_graph(model, n, p, (seed, k))._adjacency())
     real = search._no_satisfactory_vertex
 
     def verdict(rows):
@@ -1247,19 +1287,20 @@ class TestRandomChunkSize:
         assert peak < 12 * 2**20
 
 
+@pytest.fixture
+def forbid_draws(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a draw started past the checks")
+
+    monkeypatch.setattr(search, "_seeded", forbidden)
+    monkeypatch.setattr(search, "_search_chunk", forbidden)
+    monkeypatch.setattr(search.multiprocessing, "Pool", forbidden)
+    return forbidden
+
+
 class TestVertexLimit:
     """A random graph needs an (n, n) matrix, so n past the square root of
     textio.MAX_ROW_BITS is refused before anything is drawn."""
-
-    @pytest.fixture
-    def forbid_draws(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("a draw started past the vertex limit")
-
-        monkeypatch.setattr(search.np.random, "SeedSequence", forbidden)
-        monkeypatch.setattr(search, "_search_chunk", forbidden)
-        monkeypatch.setattr(search.multiprocessing, "Pool", forbidden)
-        return forbidden
 
     @pytest.mark.parametrize("n", [MAX_RANDOM_VERTICES + 1, 10**6])
     def test_spec_and_draws_reject_n_past_the_limit(self, forbid_draws, n):
@@ -1298,3 +1339,62 @@ class TestVertexLimit:
         assert captured.out == ""
         assert captured.err == f"error: {n} vertices exceed the limit of {MAX_RANDOM_VERTICES}\n"
         assert not (tmp_path / "g.txt").exists()
+
+
+class TestSeedAndCountLimits:
+    """A negative seed, or a count whose last index would take a second
+    entropy word, is refused before anything is drawn."""
+
+    def test_negative_seed_is_refused(self, forbid_draws):
+        spec = SearchSpec(mode="random", model="tournament", n=5, count=1, seed=-1, workers=2)
+        for call in (spec.validate, lambda: run_search(spec)):
+            with pytest.raises(ValueError, match="^expected non-negative integer$"):
+                call()
+        for seed in (-1, (3, -1)):
+            with pytest.raises(ValueError, match="^expected non-negative integer$"):
+                search.random_graph("tournament", 5, None, seed)
+
+    def test_count_at_the_limit_validates(self, forbid_draws):
+        assert MAX_RANDOM_COUNT == 2**32
+        SearchSpec(mode="random", model="tournament", n=5, count=MAX_RANDOM_COUNT).validate()
+
+    @pytest.mark.parametrize("count", [MAX_RANDOM_COUNT + 1, 2**64])
+    def test_count_past_the_limit_is_refused(self, forbid_draws, count):
+        spec = SearchSpec(mode="random", model="tournament", n=5, count=count, seed=1, workers=2)
+        for call in (spec.validate, lambda: run_search(spec)):
+            with pytest.raises(TooManySamples) as exc:
+                call()
+            assert (exc.value.count, exc.value.limit) == (count, MAX_RANDOM_COUNT)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search", "--count", "1", "--seed", "-1"], "expected non-negative integer"),
+            (["generate", "--seed", "-1"], "expected non-negative integer"),
+            (
+                ["search", "--count", str(MAX_RANDOM_COUNT + 1), "--seed", "1"],
+                f"{MAX_RANDOM_COUNT + 1} samples exceed the limit of {MAX_RANDOM_COUNT}",
+            ),
+        ],
+    )
+    def test_cli_exits_one(self, forbid_draws, capsys, tmp_path, argv, message):
+        argv = argv + ["--model", "tournament", "--n", "5"]
+        if argv[0] == "search":
+            argv += ["--mode", "random"]
+        else:
+            argv += ["-o", str(tmp_path / "g.txt")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "g.txt").exists()
+
+    def test_the_last_indices_seed_as_numpy_does(self, monkeypatch):
+        calls = record_draw_states(monkeypatch)
+        spec = SearchSpec(
+            mode="random", model="tournament", n=5, count=MAX_RANDOM_COUNT, seed=2**40
+        )
+        result = search._search_chunk((spec, MAX_RANDOM_COUNT - 2, MAX_RANDOM_COUNT))
+        assert (result.examined, result.counterexamples) == (2, 0)
+        indices = (MAX_RANDOM_COUNT - 2, MAX_RANDOM_COUNT - 1)
+        assert calls == [np.random.PCG64(np.random.SeedSequence((2**40, i))).state for i in indices]
