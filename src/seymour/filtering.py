@@ -25,7 +25,6 @@ checks last) so reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from typing import Any
 
 from .digraph import Digraph, Edge, _bits
@@ -108,22 +107,18 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
 
 
 class _Facts:
-    """Per-graph facts the checks share, each computed on first use from one
-    pass over the sorted edges: every vertex's anti-satisfaction from
-    ``Digraph.profiles`` (conditions 0, 2, 6, 7) and its two-walk masks from
-    ``_two_walks`` (3, 4, 5; O(m) bitset ORs once, so those conditions cost
-    O(1) per edge)."""
+    """Per-graph facts the checks share, from one pass over the sorted edges,
+    computed up front: every vertex's two-walk masks from ``_two_walks``
+    (conditions 3, 4, 5; O(m) bitset ORs once, so those conditions cost O(1)
+    per edge) and its anti-satisfaction (0, 2, 6, 7), read off W1.  Without
+    loops or digons W1[u] minus N1(u) is N2(u)."""
 
     def __init__(self, g: Digraph):
-        self.g = g
-
-    @cached_property
-    def anti(self) -> list[int]:
-        return [p.anti_satisfaction for p in self.g.profiles()]
-
-    @cached_property
-    def walks(self) -> list[tuple[int, int]]:
-        return _two_walks(self.g._out, self.g.edges)
+        self.walks = _two_walks(g._out, g.edges)
+        self.anti = [
+            row.bit_count() - (once & ~row).bit_count()
+            for row, (once, _) in zip(g._out, self.walks)
+        ]
 
 
 def _check_no_satisfactory(g: Digraph, facts: _Facts) -> ConditionVerdict:

@@ -81,17 +81,10 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @functools.cache
-def _pair_index(n: int) -> tuple[np.ndarray, ...]:
-    """Tails and heads of the pairs u < v, in itertools.combinations order."""
-    return _frozen(*np.triu_indices(n, 1))
-
-
-@functools.cache
 def _row_tables(n: int) -> tuple[np.ndarray, ...]:
     """Out-row tables for groups of <= 5 pair digits cut from the least
     significant end, listed most significant first: (3^g, n) uint8 each."""
-    tails, heads = _pair_index(n)
-    pairs, tables = list(zip(tails.tolist(), heads.tolist())), []
+    pairs, tables = list(itertools.combinations(range(n), 2)), []
     for stop in range(len(pairs), 0, -_GROUP_DIGITS):
         table = np.zeros((1, n), dtype=np.uint8)
         for u, v in pairs[max(0, stop - _GROUP_DIGITS) : stop]:
@@ -222,10 +215,7 @@ def _chunk_candidates(n: int, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def graph_at_index(n: int, index: int) -> Digraph:
     """Decode one enumeration index into its digraph (pure function)."""
-    if n < 1:
-        raise EmptyVertexSet()
-    if n > _ROW_WIDTH:
-        raise CeilingExceeded(n, _ROW_WIDTH)
+    SearchSpec(mode="exhaustive", n=n, ceiling=_ROW_WIDTH).validate()
     total = space_size(n)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside [0, {total})")
@@ -317,12 +307,13 @@ def _check_draw(
 
 @functools.cache
 def _upper(n: int) -> np.ndarray:
-    """The (n, n) bool mask of u < v: its True cells in order are _pair_index(n)."""
+    """The (n, n) bool mask of u < v: its True cells in row-major order are the
+    pairs of itertools.combinations(range(n), 2)."""
     return _frozen(~np.tri(n, dtype=bool))[0]
 
 
 def _oriented(n: int, forward: np.ndarray, backward: np.ndarray | bool) -> np.ndarray:
-    """Pair k of _pair_index(n) as u -> v where forward[k], v -> u where backward[k]."""
+    """Pair k of combinations order as u -> v where forward[k], v -> u where backward[k]."""
     upper = _upper(n)
     adj = np.zeros((n, n), dtype=bool)
     adj[upper] = forward

@@ -105,6 +105,10 @@ class TestNeighborhoods:
         with pytest.raises(NonPositiveK):
             C3.kth_neighborhood(0, 0)
 
+    def test_kth_rejects_bad_direction(self):
+        with pytest.raises(ValueError, match="direction"):
+            C3.kth_neighborhood(0, 1, "sideways")
+
     def test_walkable(self):
         assert C3.walkable_neighborhood(0) == {0, 1, 2}
         assert TT.walkable_neighborhood(2) == {2}

@@ -222,15 +222,32 @@ def test_planted_positives_match_witness_oracles(d, h, passing):
     assert [verdicts[k]["status"] for k in passing] == [PASS] * len(passing)
 
 
-def test_failed_prerequisite_never_builds_two_walk_masks(monkeypatch):
-    def refuse(g, x):
-        raise AssertionError("two-walk masks built")
+@pytest.mark.parametrize("short_circuit", [True, False])
+@pytest.mark.parametrize("g", [TT, _regular_tournament(7)], ids=["TT", "T7"])
+def test_filter_makes_one_two_walk_pass_and_no_profiles_call(monkeypatch, g, short_circuit):
+    calls = []
+    original = filtering._two_walks
 
-    monkeypatch.setattr(filtering, "_two_walks", refuse)
-    report = run_filter(TT)
-    assert report.evaluation_order == [0] and not report.survived
-    with pytest.raises(AssertionError, match="two-walk"):  # the patch is live
-        run_filter(TT, short_circuit=False)
+    def counting(rows, edges):
+        calls.append(rows)
+        return original(rows, edges)
+
+    def refuse(self):
+        raise AssertionError("Digraph.profiles called")
+
+    monkeypatch.setattr(filtering, "_two_walks", counting)
+    monkeypatch.setattr(Digraph, "profiles", refuse)
+    report = run_filter(g, short_circuit)
+    assert calls == [g._out]
+    assert report.evaluation_order == (list(EVALUATION_ORDER) if not short_circuit else [0])
+
+
+def test_prerequisite_and_band_pass_on_planted_anti_satisfaction():
+    # only a counterexample passes conditions 0 and 2, so the facts are planted
+    facts = filtering._Facts(C3)
+    facts.anti = [1] * C3.n
+    for k in (0, 2):
+        assert check_condition(C3, k, facts) == filtering.ConditionVerdict(k, PASS)
 
 
 def test_filter_keeps_its_call_sites(monkeypatch):

@@ -70,6 +70,9 @@ class TestBuildProduct:
             labeling.encode(3, 0)
         with pytest.raises(VertexOutOfRange):
             labeling.decode(9)
+        for h in (-1, 3):
+            with pytest.raises(VertexOutOfRange):
+                labeling.encode(0, h)
 
 
 def test_predicted_profile_examples():

@@ -43,7 +43,6 @@ from seymour.search import (
     _kept_columns,
     _kept_suffix,
     _no_satisfactory_vertex,
-    _pair_index,
     _popcount,
     _row_counts,
     _row_tables,
@@ -1021,9 +1020,10 @@ def test_random_graph_dispatches_to_each_model():
         search.random_graph("regular", 6, 0.4, 2)
 
 
-def test_pair_index_is_combinations_order():
+def test_upper_mask_lists_pairs_in_combinations_order():
+    # _oriented assigns pair k of a draw to the k-th True cell of this mask
     for n in (1, 2, 5, 9):
-        tails, heads = _pair_index(n)
+        tails, heads = np.nonzero(search._upper(n))
         assert list(zip(tails.tolist(), heads.tolist())) == list(
             itertools.combinations(range(n), 2)
         )
@@ -1243,6 +1243,14 @@ class TestWorkerLimit:
             assert (exc.value.workers, exc.value.limit) == (workers, MAX_WORKERS)
             with pytest.raises(TooManyWorkers):
                 run_search(spec)
+
+    def test_spec_rejects_no_workers(self, monkeypatch):
+        self.forbid_work(monkeypatch)
+        spec = SearchSpec(mode="exhaustive", n=5, workers=0)
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            spec.validate()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_search(spec)
 
     def test_cli_exits_one(self, monkeypatch, capsys):
         self.forbid_work(monkeypatch)
