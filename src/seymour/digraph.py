@@ -57,10 +57,10 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _checked_parts(
-    n: int, values: list[int], line_of: Callable[[int], int | None] = lambda i: None
+    n: int, values: list[int] | np.ndarray, line_of: Callable[[int], int | None] = lambda i: None
 ) -> tuple[tuple[Edge, ...], Rows, Rows]:
     """The one edge check: the sorted edges, out-rows and in-rows of the edges
-    (values[2i], values[2i + 1]), i = 0, 1, ... in input order.
+    (values[2i], values[2i + 1]), i = 0, 1, ... in input order (a list or int64 array).
 
     The first bad position i raises, with line ``line_of(i)``; at one position
     the tail's range comes first, then the head's, a loop, a duplicate and a
@@ -69,7 +69,7 @@ def _checked_parts(
     which fit int64 for any n whose rows fit in memory.
     """
     try:
-        flat = np.fromiter(values, np.int64, len(values))
+        flat = np.asarray(values, dtype=np.int64)
     except OverflowError:  # past int64 is out of range for every n
         flat = np.array([v if 0 <= v < n else -1 for v in values], dtype=np.int64)
     tails, heads = flat[0::2], flat[1::2]
@@ -82,7 +82,7 @@ def _checked_parts(
     bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads) | again
     if bad.any():
         i = int(bad.argmax())
-        u, v = values[2 * i], values[2 * i + 1]
+        u, v = int(values[2 * i]), int(values[2 * i + 1])
         line = line_of(i)
         if not 0 <= u < n:
             raise VertexOutOfRange(u, n, line=line)

@@ -11,6 +11,10 @@ must lie in [1, MAX_VERTICES].  Writing emits edges in canonical sorted
 order, so parse(write(g)) reproduces g exactly and equal graphs serialize
 to identical bytes.
 
+A plain document (ASCII digits, line feeds and ASCII blanks; 0 or 2 tokens of at
+most 18 digits a line) is tokenized in whole-array numpy passes and any other by
+the general tokenizer.  Errors and their line numbers come from one per-line path.
+
 Parse errors carry the 1-based line number of the offending input line,
 checked in this order: the header (two integers, then n >= 1,
 n <= MAX_VERTICES and m >= 0), the count of edge lines against m, the
@@ -25,6 +29,8 @@ import re
 from contextlib import suppress
 from itertools import chain
 
+import numpy as np
+
 from .digraph import Digraph, _checked_parts
 from .errors import CountMismatch, EmptyVertexSet, GraphSyntaxError, RowsTooLarge, TooManyVertices
 
@@ -35,6 +41,30 @@ MAX_VERTICES, MAX_ROW_BITS = 1 << 17, 1 << 28
 
 # a line whose first non-blank is "#"; [^\S\n] is a blank, as \s is str.isspace
 _COMMENT = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
+
+
+def _plain_values(body: str) -> np.ndarray | None:
+    """The int64 tokens of a plain document, or None for any other document."""
+    if not body.isascii():
+        return None
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    digit = raw - np.uint8(48) < 10
+    if not (digit | (raw - np.uint8(9) < 5) | (raw - np.uint8(28) < 5)).all():
+        return None  # a character other than a digit, a blank or the line feed (9-13, 28-32)
+    change = np.diff(digit, prepend=False, append=False)
+    bounds = np.flatnonzero(change)
+    starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]  # the digit runs
+    # every line holds 0 or 2 runs iff, among the run starts and line feeds in
+    # order, runs 2k and 2k + 1 are next to each other and 2k + 1 and 2k + 2 are not
+    gaps = np.diff(np.flatnonzero(digit[np.flatnonzero((change[:-1] & digit) | (raw == 10))]))
+    uneven = len(starts) % 2 or (gaps[0::2] != 1).any() or (gaps[1::2] == 1).any()
+    if uneven or lengths.max(initial=0) > 18:  # 19 digits may not fit int64
+        return None
+    values = (raw[starts] - np.uint8(48)).astype(np.int64)
+    for place in range(1, lengths.max(initial=0)):  # Horner's rule, one digit place at a time
+        more = np.flatnonzero(lengths > place)
+        values[more] = values[more] * 10 + (raw[starts[more] + place] - np.uint8(48))
+    return values
 
 
 def _pair(tokens: list[str]) -> list[int] | None:
@@ -59,9 +89,9 @@ def parse_digraph(text: str) -> Digraph:
         content = body.split("\n")[line(i) - 1].strip()
         return GraphSyntaxError(line(i), f"expected two integers ({what}), got {content!r}")
 
-    values = None  # every line's integers, unless some line is not two integers
-    # the line list is not kept through the tokenizing, to halve the peak memory
-    if set(map(len, map(str.split, body.split("\n")))) <= {0, 2}:
+    values = _plain_values(body)  # every line's integers, or None for a document not plain
+    # the general tokenizer does not keep the line list, to halve the peak memory
+    if values is None and set(map(len, map(str.split, body.split("\n")))) <= {0, 2}:
         with suppress(ValueError):
             values = list(map(int, body.split()))
     bad = None  # the index among the lines that are not blank of the first such line
@@ -71,9 +101,9 @@ def parse_digraph(text: str) -> Digraph:
         values = list(chain.from_iterable(pairs[:bad]))  # the lines before it
     if bad == 0:
         raise syntax_error(0, "vertex and edge count")
-    if not values:
+    if len(values) == 0:
         raise GraphSyntaxError(1, "missing 'n m' header")
-    n, m = values[0], values[1]
+    n, m = map(int, values[:2])
     if n < 1:
         raise EmptyVertexSet(line=line(0))
     if n > MAX_VERTICES:

@@ -1,12 +1,13 @@
 """The vectorised edge check and parser against their one-at-a-time references."""
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seymour import Digraph, parse_digraph
+from seymour import Digraph, parse_digraph, random_tournament, write_digraph
 from seymour import textio
 from seymour.errors import DigraphError, RowsTooLarge, TooManyVertices
 from seymour.textio import MAX_ROW_BITS, MAX_VERTICES
@@ -94,8 +95,88 @@ def _agree(text):
 @example("  # indented\n+1 1_0\n\n0 ٣\n")
 @example("99999999999999999999 0\n")
 @example("3 1\n0 99999999999999999999\n")
+@example("")
+@example("\n")
+@example("3 0")
+@example("3 1\n0 1 2\n")
+@example("3 1\n0\n")
+@example("0003 1\n0 1\n")
+@example("3 1\n0 999999999999999999\n")  # 18 digits: the plain path
+@example("3 1\n0 9223372036854775807\n")  # 19 digits: the general path
+@example("3 1\r\n0\t1\r\n")
+@example("3 1\n2 2\n")
+@example("3 2\n0 1\n0 1\n")
+@example("3 2\n0 1\n1 0\n")
+@example("3 1\n0 3\n")
 def test_parser_matches_the_line_by_line_reference(text):
     _agree(text)
+
+
+# the ASCII str.isspace characters other than the line feed, and the plain alphabet
+PLAIN_BLANKS = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+PLAIN = set("0123456789\n" + PLAIN_BLANKS)
+
+
+@st.composite
+def plain_documents(draw):
+    """Lines of 0 to 3 digit runs of up to 20 digits between ASCII blanks, and
+    sometimes one character from outside that alphabet."""
+    blanks = st.text(st.sampled_from(PLAIN_BLANKS), max_size=2)
+    separator = st.text(st.sampled_from(PLAIN_BLANKS), min_size=1, max_size=2)
+    token = st.text(st.sampled_from("0123456789"), min_size=1, max_size=20)
+    rows = draw(st.lists(st.lists(token, max_size=3), max_size=6))
+    lines = [draw(blanks) + draw(separator).join(row) + draw(blanks) for row in rows]
+    body = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.characters(max_codepoint=0x3000)) + body[at:]
+    return body
+
+
+@settings(max_examples=400, deadline=None)
+@given(plain_documents() | st.text(st.sampled_from(sorted(PLAIN))))
+@example("0 " + "9" * 18)
+@example("0 " + "9" * 19)
+@example("0\x081")  # the neighbours of the blanks 9-13 and 28-32 and of the digits
+@example("0\x0e1")
+@example("0\x1b1")
+@example("0!1")
+@example("0/ 1")
+@example("0 1:")
+def test_plain_tokenizer_matches_split_on_lines_of_zero_or_two_tokens(body):
+    assert {chr(c) for c in range(128) if chr(c).isspace()} == set(PLAIN_BLANKS + "\n")
+    values = textio._plain_values(body)
+    tokens = body.split()
+    lines = set(map(len, map(str.split, body.split("\n")))) <= {0, 2}
+    short = max(map(len, tokens), default=0) <= 18
+    assert (values is not None) == (set(body) <= PLAIN and lines and short)
+    if values is not None:
+        assert values.dtype == np.int64
+        assert values.tolist() == list(map(int, tokens))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 1\n1 1\n",
+        "3 2\n0 1\n0 1\n",
+        "3 2\r\n0\t1\r\n1 0\r\n",
+        "3 1\n0 999999999999999999\n",
+        "3 1\n3 0\n",
+        "3 2\n0 1\n",
+        "0 0\n",
+        "999999999999999999 0\n",
+        f"{MAX_VERTICES} 4096\n" + "".join(f"{u} 1\n" for u in range(4096)),
+    ],
+)
+def test_errors_from_plain_documents_carry_python_ints(text):
+    assert textio._plain_values(text) is not None
+    with pytest.raises(DigraphError) as exc:
+        parse_digraph(text)
+    want = _outcome(lambda: oracles.parse_reference(text, MAX_VERTICES, MAX_ROW_BITS))
+    assert (type(exc.value).__name__, str(exc.value), exc.value.line) == want
+    assert all(type(value) is int for value in exc.value.args)
+    assert type(exc.value.line) in (int, type(None))
 
 
 # documents with two errors: the fixed precedence decides which one is reported
@@ -177,3 +258,21 @@ def test_rows_at_the_bit_limit_parse():
     with pytest.raises(RowsTooLarge) as exc:
         parse_digraph(text.replace(f" {m}\n", f" {m + 1}\n", 1) + f"{m + 1} 0\n")
     assert (exc.value.bits, exc.value.line) == ((m + 1) * MAX_VERTICES, 2)
+
+
+def _peak(call):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plain_documents_parse_within_the_general_tokenizers_peak():
+    text = write_digraph(random_tournament(300, seed=1))  # 44,850 edge lines
+    wide = text.replace(" ", "\u3000", 1)  # one non-ASCII blank: the general tokenizer
+    assert textio._plain_values(text) is not None and textio._plain_values(wide) is None
+    assert parse_digraph(text) == parse_digraph(wide)
+    assert _peak(lambda: parse_digraph(text)) <= _peak(lambda: parse_digraph(wide))
