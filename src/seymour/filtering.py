@@ -21,11 +21,19 @@ Condition indices:
 
 Evaluation order is fixed (cheap per-vertex scans first, per-edge path
 checks last) so reports are reproducible.
+
+The checks share per-graph facts (_Facts): anti-satisfaction, and the first
+failing edge of conditions 3-5.  Dense graphs get them from exact float64
+block matrix products, O(n**3) flops holding about 4 * _BLOCK_CELLS floats
+(_dense_pass); the others from O(m) bitset operations.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any
+
+import numpy as np
 
 from .digraph import Digraph, Edge, _bits
 from .errors import ConditionOutOfRange
@@ -106,19 +114,134 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
     return set(_bits((g._out[v] | 1 << v) & ~missing)), set(_bits(missing))
 
 
-class _Facts:
-    """Per-graph facts the checks share, from one pass over the sorted edges,
-    computed up front: every vertex's two-walk masks from ``_two_walks``
-    (conditions 3, 4, 5; O(m) bitset ORs once, so those conditions cost O(1)
-    per edge) and its anti-satisfaction (0, 2, 6, 7), read off W1.  Without
-    loops or digons W1[u] minus N1(u) is N2(u)."""
+#: Rows times n of the float operands the dense pass holds at once: each
+#: block of tails and each chunk of heads has at most this many cells.
+_BLOCK_CELLS = 1 << 15
 
-    def __init__(self, g: Digraph):
-        self.walks = _two_walks(g._out, g.edges)
-        self.anti = [
-            row.bit_count() - (once & ~row).bit_count()
-            for row, (once, _) in zip(g._out, self.walks)
-        ]
+#: The dense pass costs about one edge of the bitset loops per this many cells
+#: of n**3, plus a fixed cost of about 32 edges; it runs where it is cheaper.
+_CELLS_PER_EDGE = 1 << 13
+
+_Found = dict[int, tuple[int, ...]]  # condition -> its first failing edge (5: and counts)
+
+
+def _takes_dense_pass(g: Digraph) -> bool:
+    return g.n**3 < _CELLS_PER_EDGE * (g.m - 32)
+
+
+class _Facts:
+    """Per-graph facts the checks share: every vertex's anti-satisfaction (0,
+    2, 6, 7), the bitmask of the anti-1 vertices (6, 7, on first use), and,
+    on first use, ``edges``: the first failing edge of 3, 4 and 5 in sorted
+    order (5's with its triangle bases, diamond apexes and requirement) and
+    whether 5 applies to any edge.  Dense graphs get the edge facts from
+    _dense_pass, which gives anti-satisfaction too when every condition runs.
+    Otherwise one pass of O(m) bitset operations gives every vertex's masks
+    W1 and W2 (the ends of at least one and of two 2-walks; without loops or
+    digons W1[u] minus N1(u) is N2(u)), and each edge condition runs over the
+    sorted edges, O(1) bitset operations each, to its first failure."""
+
+    def __init__(self, g: Digraph, every_condition: bool = False):
+        self.g = g
+        if every_condition and _takes_dense_pass(g):
+            self.anti, self.edges = _dense_pass(g)
+        else:
+            self.walks = _two_walks(g._out, g.edges)
+            pairs = zip(g._out, self.walks)
+            self.anti = [row.bit_count() - (once & ~row).bit_count() for row, (once, _) in pairs]
+
+    @cached_property
+    def ones(self) -> int:
+        ones = np.packbits(np.array(self.anti, dtype=np.int64) == 1, bitorder="little")
+        return int.from_bytes(ones.tobytes(), "little")
+
+    @cached_property
+    def edges(self) -> tuple[_Found, bool]:
+        g = self.g
+        if _takes_dense_pass(g):
+            return _dense_pass(g)[1]
+        out, walks = g._out, self.walks
+
+        def missing(u: int, v: int) -> int:  # |_missing|: N1(v) off N1(u) ∪ W2[u], v off W1[u]
+            once, twice = walks[u]
+            return (out[v] & ~(out[u] | twice)).bit_count() + (not once >> v & 1)
+
+        first = {
+            3: next(((u, v) for u, v in g.edges if missing(u, v) > 1), None),
+            4: next(
+                ((u, v) for u, v in g.edges if not out[u] & out[v] and not out[v] & walks[u][1]),
+                None,
+            ),
+        }
+        applicable, degree = False, [row.bit_count() for row in out]
+        for u, v in g.edges:
+            required = degree[v] - degree[u] + 1
+            if required > 0:
+                applicable = True
+                tri, apex = (out[u] & out[v]).bit_count(), (out[v] & walks[u][1]).bit_count()
+                if tri < required or apex < required:
+                    first[5] = (u, v, tri, apex, required)
+                    break
+        return {k: e for k, e in first.items() if e}, applicable
+
+
+def _dense_pass(g: Digraph) -> tuple[list[int], tuple[_Found, bool]]:
+    """Anti-satisfaction and the edge facts of _Facts from float64 block products.
+
+    The tails go in blocks of _BLOCK_CELLS // n, and the heads in chunks of as
+    many.  With A a block's out-rows and B a chunk's, the 2-walk counts are
+    the sum of A[:, chunk] @ B over the chunks: W1 is count >= 1, W2 count >=
+    2.  Then [A; W2; A | W2] @ B.T holds, for each edge (u,v) into the chunk,
+    its triangle bases |N1(u) ∩ N1(v)|, its diamond apexes |N1(v) ∩ W2[u]| and
+    condition 3's cover |N1(v) ∩ (N1(u) ∪ W2[u])|.  The products are exact:
+    every count is at most one out-degree.  O(n**3) flops; a block holds about
+    4 * _BLOCK_CELLS floats."""
+    degree = np.array([row.bit_count() for row in g._out], dtype=float)
+    step = max(1, _BLOCK_CELLS // g.n)
+    spans = [range(s, min(g.n, s + step)) for s in range(0, g.n, step)]
+    first: _Found = {}
+    blocks = [_block(g, degree, tails, spans, first) for tails in spans]
+    return [a for anti, _ in blocks for a in anti], (first, any(applies for _, applies in blocks))
+
+
+def _block(
+    g: Digraph, degree: np.ndarray, tails: range, spans: list[range], first: _Found
+) -> tuple[list[int], bool]:
+    """Record in ``first`` the first failures among the edges out of ``tails``;
+    return the tails' anti-satisfaction and whether 5 applies to their edges."""
+    stack = np.zeros((3, len(tails), g.n))
+    rows, walks, either = stack
+    rows[:] = g._adjacency(tails)
+
+    def heads(c: range) -> np.ndarray:  # a lone chunk is the block itself
+        return rows if len(spans) == 1 else g._adjacency(c).astype(float)
+
+    for c in spans:
+        walks += np.matmul(rows[:, c.start : c.stop], heads(c), out=either)
+    tail_degree = degree[tails.start : tails.stop, None]
+    reached = walks > 0  # W1
+    anti = tail_degree[:, 0] - np.count_nonzero(reached & (rows == 0), axis=1)
+    np.greater(walks, 1, out=walks)  # W2
+    np.maximum(rows, walks, out=either)
+    applicable = False
+    for c in spans:
+        tri, apex, cover = (stack.reshape(-1, g.n) @ heads(c).T).reshape(3, len(tails), -1)
+        edge = rows[:, c.start : c.stop] > 0
+        head_degree = degree[c.start : c.stop]
+        applies = edge & (tail_degree <= head_degree)
+        applicable |= bool(applies.any())
+        # missing > 1, where missing = [v not in W1[u]] + |N1(v)| - cover
+        bad3 = edge & (np.subtract(head_degree, cover, out=cover) > reached[:, c.start : c.stop])
+        bad4 = edge & (tri == 0) & (apex == 0)
+        slack = np.minimum(tri, apex, out=cover)  # becomes min - required + 1
+        slack += tail_degree - head_degree
+        for k, bad in ((3, bad3), (4, bad4), (5, applies & (slack < 1))):
+            if bad.any():
+                i, j = divmod(int(bad.argmax()), len(c))
+                counts = (tri[i, j], apex[i, j], head_degree[j] - tail_degree[i, 0] + 1)
+                found = (tails[i], c[j], *map(int, counts))[: 5 if k == 5 else 2]
+                first[k] = min(first.get(k, found), found)
+    return anti.astype(int).tolist(), applicable
 
 
 def _check_no_satisfactory(g: Digraph, facts: _Facts) -> ConditionVerdict:
@@ -148,54 +271,44 @@ def _check_anti_satisfaction_band(g: Digraph, facts: _Facts) -> ConditionVerdict
 
 
 def _check_avoiding_paths(g: Digraph, facts: _Facts) -> ConditionVerdict:
-    for e in g.edges:
-        missing = _missing(g, e, facts.walks[e[0]])
-        if missing.bit_count() > 1:
-            witness = {"edge": list(e), "missing": list(_bits(missing))}
-            return ConditionVerdict(3, FAIL, witness)
+    first = facts.edges[0]
+    if 3 in first:
+        u, v = first[3]
+        missing = _missing(g, (u, v), _two_walks(g._out, ((u, a) for a in _bits(g._out[u])))[u])
+        return ConditionVerdict(3, FAIL, {"edge": [u, v], "missing": list(_bits(missing))})
     return ConditionVerdict(3, PASS if g.edges else NOT_APPLICABLE)
 
 
 def _check_every_edge_is_base(g: Digraph, facts: _Facts) -> ConditionVerdict:
-    for u, v in g.edges:
-        if not g._out[u] & g._out[v] and not g._out[v] & facts.walks[u][1]:
-            return ConditionVerdict(4, FAIL, {"edge": [u, v]})
+    first = facts.edges[0]
+    if 4 in first:
+        return ConditionVerdict(4, FAIL, {"edge": list(first[4])})
     return ConditionVerdict(4, PASS if g.edges else NOT_APPLICABLE)
 
 
 def _check_base_multiplicity(g: Digraph, facts: _Facts) -> ConditionVerdict:
-    applicable = False
-    degree = [row.bit_count() for row in g._out]
-    for u, v in g.edges:
-        if degree[u] > degree[v]:
-            continue
-        applicable = True
-        required = degree[v] - degree[u] + 1
-        triangles = (g._out[u] & g._out[v]).bit_count()
-        apexes = (g._out[v] & facts.walks[u][1]).bit_count()
-        if triangles < required or apexes < required:
-            witness = {
-                "edge": [u, v],
-                "required": required,
-                "triangle_bases": triangles,
-                "diamond_apexes": apexes,
-            }
-            return ConditionVerdict(5, FAIL, witness)
-    if not applicable:
-        return ConditionVerdict(5, NOT_APPLICABLE)
-    return ConditionVerdict(5, PASS)
+    first, applicable = facts.edges
+    if 5 in first:
+        u, v, triangles, apexes, required = first[5]
+        witness = {
+            "edge": [u, v],
+            "required": required,
+            "triangle_bases": triangles,
+            "diamond_apexes": apexes,
+        }
+        return ConditionVerdict(5, FAIL, witness)
+    return ConditionVerdict(5, PASS if applicable else NOT_APPLICABLE)
 
 
 def _check_in_neighbor_band(g: Digraph, facts: _Facts) -> ConditionVerdict:
-    anti = facts.anti
     for u in range(g.n):
-        if not any(anti[w] == 1 for w in _bits(g._in[u])):
+        if not g._in[u] & facts.ones:
             return ConditionVerdict(6, FAIL, {"vertex": u})
     return ConditionVerdict(6, PASS)
 
 
 def _check_band_cycle(g: Digraph, facts: _Facts) -> ConditionVerdict:
-    ones = [u for u, a in enumerate(facts.anti) if a == 1]
+    ones = list(_bits(facts.ones))
     if ones and has_directed_cycle(g.induced_subgraph(ones)[0]):
         return ConditionVerdict(7, PASS)
     return ConditionVerdict(7, FAIL, {"vertices": ones})
@@ -233,7 +346,7 @@ def run_filter(g: Digraph, short_circuit: bool = True) -> FilterReport:
     """
     verdicts: list[ConditionVerdict] = []
     survived = True
-    facts = _Facts(g)
+    facts = _Facts(g, every_condition=not short_circuit)
     for k in EVALUATION_ORDER:
         verdict = check_condition(g, k, facts)
         verdicts.append(verdict)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from seymour import (
@@ -9,6 +12,7 @@ from seymour import (
     check_condition,
     diamond_base_targets,
     has_directed_cycle,
+    parse_digraph,
     run_filter,
     triangle_base_count,
 )
@@ -16,6 +20,7 @@ from seymour import filtering, structure
 from seymour.digraph import _bits
 from seymour.errors import ConditionOutOfRange, NoSuchEdge
 from seymour.filtering import EVALUATION_ORDER, FAIL, NOT_APPLICABLE, PASS
+from seymour.search import random_graph
 from strategies import digraphs, digraphs_with_edge
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -222,14 +227,60 @@ def test_planted_positives_match_witness_oracles(d, h, passing):
     assert [verdicts[k]["status"] for k in passing] == [PASS] * len(passing)
 
 
+def _small_blocks_agree(g):
+    """The dense pass with blocks of one tail and one head, and of three, gives
+    the default run's report and the oracles' verdicts."""
+    whole = run_filter(g, short_circuit=False).as_dict()
+    for cells in (1, 3 * g.n):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(filtering, "_BLOCK_CELLS", cells)
+            patch.setattr(filtering, "_takes_dense_pass", lambda g: True)
+            seamed = run_filter(g, short_circuit=False)
+        assert seamed.as_dict() == whole, f"{cells} cells"
+    verdicts = {v.condition: v for v in seamed.verdicts}
+    for k, oracle in oracles.EDGE_VERDICT_ORACLES.items():
+        assert verdicts[k].as_dict() == oracle(g.n, g.edges), f"condition {k}"
+    for k in (0, 1, 2, 6, 7):
+        assert verdicts[k].ok == oracles.CONDITION_ORACLES[k](g.n, g.edges), f"condition {k}"
+
+
+@pytest.mark.parametrize(
+    "d, h",
+    [
+        pytest.param(5, _cycle(3), id="T5xC3"),
+        pytest.param(7, _cycle(4), id="T7xC4"),
+        pytest.param(9, _cycle(5), id="T9xC5"),
+        pytest.param(13, _cycle(5), id="T13xC5"),
+        pytest.param(5, Digraph(3), id="T5xE3"),
+        pytest.param(13, Digraph(5), id="T13xE5"),
+    ],
+)
+def test_small_blocks_agree_on_the_planted_products(d, h):
+    product, _ = build_product(_regular_tournament(d), h)
+    assert filtering._takes_dense_pass(product)
+    _small_blocks_agree(product)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(65, 96), st.sampled_from([0.02, 0.1, 0.3]), st.integers(0, 2**32 - 1))
+def test_small_blocks_agree_on_graphs_past_a_word(n, p, seed):
+    _small_blocks_agree(random_graph("digon_free", n, p, seed))
+
+
 @pytest.mark.parametrize("short_circuit", [True, False])
-@pytest.mark.parametrize("g", [TT, _regular_tournament(7)], ids=["TT", "T7"])
+@pytest.mark.parametrize(
+    "g",
+    [TT, _regular_tournament(7), build_product(_regular_tournament(13), _cycle(5))[0]],
+    ids=["TT", "T7", "T13xC5"],
+)
 def test_filter_makes_one_two_walk_pass_and_no_profiles_call(monkeypatch, g, short_circuit):
-    calls = []
+    # a dense graph run in full gets anti-satisfaction from the block products:
+    # only condition 3's witness then walks, from its one tail
+    passes = []
     original = filtering._two_walks
 
     def counting(rows, edges):
-        calls.append(rows)
+        passes.append(edges is g.edges)
         return original(rows, edges)
 
     def refuse(self):
@@ -238,7 +289,9 @@ def test_filter_makes_one_two_walk_pass_and_no_profiles_call(monkeypatch, g, sho
     monkeypatch.setattr(filtering, "_two_walks", counting)
     monkeypatch.setattr(Digraph, "profiles", refuse)
     report = run_filter(g, short_circuit)
-    assert calls == [g._out]
+    dense = filtering._takes_dense_pass(g)
+    assert dense == (g.n == 65)
+    assert passes.count(True) == (0 if dense and not short_circuit else 1)
     assert report.evaluation_order == (list(EVALUATION_ORDER) if not short_circuit else [0])
 
 
@@ -316,9 +369,25 @@ def _bit_walks(g, x):
 
 
 def _check_facts(g):
-    facts = filtering._Facts(g)
-    assert facts.anti == [g.profile(u).anti_satisfaction for u in range(g.n)]
-    assert facts.walks == [_bit_walks(g, x) for x in range(g.n)]
+    """Both passes give the oracles' anti-satisfaction, anti-1 mask and first
+    failing edges; the bitset pass's walks match a walk from each vertex's bits."""
+    anti = [n1 - n2 for n1, n2 in oracles.profile_sizes(g.n, g.edges)]
+    first, applicable = {}, False
+    for k, oracle in oracles.EDGE_VERDICT_ORACLES.items():
+        verdict = oracle(g.n, g.edges)
+        applicable |= k == 5 and verdict["status"] != NOT_APPLICABLE
+        if verdict["status"] == FAIL:
+            w = verdict["witness"]
+            counts = (w["triangle_bases"], w["diamond_apexes"], w["required"]) if k == 5 else ()
+            first[k] = (*w["edge"], *counts)
+    for dense in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(filtering, "_takes_dense_pass", lambda g: dense)
+            facts = filtering._Facts(g, every_condition=True)
+            assert facts.edges == (first, applicable)
+        assert facts.anti == anti
+        assert list(_bits(facts.ones)) == [u for u, a in enumerate(anti) if a == 1]
+    assert filtering._Facts(g).walks == [_bit_walks(g, x) for x in range(g.n)]
 
 
 class TestFacts:
@@ -332,3 +401,29 @@ class TestFacts:
         product, _ = build_product(_regular_tournament(13), h)
         assert product.n == 65
         _check_facts(product)
+
+
+def _peak(call):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_band_cycle_reads_only_the_kept_rows():
+    # two disjoint edges on 8,192 vertices: 0 and 2 have anti-satisfaction 1,
+    # and condition 7 induces on them without an (n, n) matrix (64 MiB)
+    g = parse_digraph("8192 2\n0 1\n2 3\n")
+    report = run_filter(g, short_circuit=False)
+    assert report.verdicts[EVALUATION_ORDER.index(7)].witness == {"vertices": [0, 2]}
+    assert _peak(lambda: run_filter(g, short_circuit=False)) < 4 << 20
+
+
+def test_dense_pass_holds_a_few_blocks_of_floats():
+    # a 513-vertex tournament: one (n, n) float matrix is 2 MiB
+    g = _regular_tournament(513)
+    assert filtering._takes_dense_pass(g)
+    assert _peak(lambda: filtering._Facts(g, every_condition=True)) < 6 * 8 * filtering._BLOCK_CELLS
