@@ -195,14 +195,19 @@ class Digraph:
         edges = tuple(zip(tails.tolist(), heads.tolist()))
         return cls._from_parts(edges, _row_masks(adj), _row_masks(adj.T))
 
-    def _adjacency(self, keep: Iterable[int] | None = None) -> np.ndarray:
-        """A fresh bool matrix of the out-rows of ``keep`` (all n by default):
-        adj[i, v] iff (keep[i], v) is an edge, one row of n per kept vertex."""
-        width = -(-self.n // 8)
+    def _adjacency(
+        self, keep: Iterable[int] | None = None, cols: np.ndarray | None = None
+    ) -> np.ndarray:
+        """A fresh bool matrix of the out-rows of ``keep`` on the ascending
+        columns ``cols`` (all n of each by default): adj[i, j] iff (keep[i],
+        cols[j]) is an edge.  Only the span from cols[0] to cols[-1] is unpacked."""
+        lo, width = (0, self.n) if cols is None else (int(cols[0]), int(cols[-1] - cols[0]) + 1)
+        size, span = -(-width // 8), (1 << width) - 1
         masks = self._out if keep is None else (self._out[u] for u in keep)
-        rows = b"".join(mask.to_bytes(width, "little") for mask in masks)
-        bits = np.frombuffer(rows, dtype=np.uint8).reshape(-1, width)
-        return np.unpackbits(bits, axis=1, count=self.n, bitorder="little").view(bool)
+        rows = b"".join((mask >> lo & span).to_bytes(size, "little") for mask in masks)
+        bits = np.frombuffer(rows, dtype=np.uint8).reshape(-1, size)
+        adj = np.unpackbits(bits, axis=1, count=width, bitorder="little").view(bool)
+        return adj if cols is None or len(cols) == width else adj[:, np.asarray(cols) - lo]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Digraph is immutable")
@@ -356,7 +361,7 @@ class Digraph:
         for u in keep:
             self._check_vertex(u)
         relabel = {old: new for new, old in enumerate(keep)}
-        return Digraph._from_adjacency(self._adjacency(keep)[:, keep]), relabel
+        return Digraph._from_adjacency(self._adjacency(keep, keep)), relabel
 
     def delete_edge(self, edge: Edge) -> Digraph:
         """Same vertex set, one edge fewer."""
@@ -366,18 +371,8 @@ class Digraph:
         return Digraph._from_adjacency(adj)
 
     def delete_vertex(self, u: int) -> tuple[Digraph, dict[int, int]]:
-        """Drop u and all incident edges; survivors are relabeled densely.
-
-        Every other row drops bit u and shifts the bits above it down by one,
-        so no (n, n) matrix is built."""
+        """Drop u and all incident edges; survivors are relabeled densely."""
         self._check_vertex(u)
         if self.n < 2:
             raise WouldBeEmpty()
-        low = (1 << u) - 1
-
-        def kept(rows: Rows) -> Rows:
-            return tuple(r & low | r >> 1 & ~low for v, r in enumerate(rows) if v != u)
-
-        edges = tuple((a - (a > u), b - (b > u)) for a, b in self.edges if u not in (a, b))
-        relabel = {v: v - (v > u) for v in range(self.n) if v != u}
-        return Digraph._from_parts(edges, kept(self._out), kept(self._in)), relabel
+        return self.induced_subgraph(v for v in range(self.n) if v != u)

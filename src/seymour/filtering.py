@@ -23,9 +23,9 @@ Evaluation order is fixed (cheap per-vertex scans first, per-edge path
 checks last) so reports are reproducible.
 
 The checks share per-graph facts (_Facts): anti-satisfaction, and the first
-failing edge of conditions 3-5.  Dense graphs get them from exact float64
-block matrix products, O(n**3) flops holding about 4 * _BLOCK_CELLS floats
-(_dense_pass); the others from O(m) bitset operations.
+failing edge of conditions 3-5.  One pass of exact float64 matrix products
+over blocks of tails gives them (_block_pass), in memory bounded by
+_BLOCK_CELLS whatever the graph.
 """
 from __future__ import annotations
 
@@ -110,138 +110,161 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
     (covered, missing); the two sets partition {v} ∪ N1(v).
     """
     u, v = g._require_edge(edge)
-    missing = _missing(g, (u, v), _two_walks(g._out, ((u, a) for a in _bits(g._out[u])))[u])
+    missing = _missing(g, (u, v), _two_walks(g._out, u))
     return set(_bits((g._out[v] | 1 << v) & ~missing)), set(_bits(missing))
 
 
-#: Rows times n of the float operands the dense pass holds at once: each
-#: block of tails and each chunk of heads has at most this many cells.
+#: Cells of the float operands the block pass holds at once: a block of tails
+#: times the columns its 2-walks reach, and a chunk of heads times the same.
 _BLOCK_CELLS = 1 << 15
 
-#: The dense pass costs about one edge of the bitset loops per this many cells
-#: of n**3, plus a fixed cost of about 32 edges; it runs where it is cheaper.
-_CELLS_PER_EDGE = 1 << 13
+#: A block's fixed cost, and the cost of unpacking one cell of a head row, in
+#: multiply-adds of its products (set by timing blocks on a 2-core Xeon with
+#: OpenBLAS).  They only decide where blocks end; no report depends on them.
+_BLOCK_OVERHEAD, _UNPACK_COST = 1 << 18, 8
 
-_Found = dict[int, tuple[int, ...]]  # condition -> its first failing edge (5: and counts)
-
-
-def _takes_dense_pass(g: Digraph) -> bool:
-    return g.n**3 < _CELLS_PER_EDGE * (g.m - 32)
+#: condition -> its first failing edge (u, v) with the edge's triangle bases,
+#: diamond apexes and condition 5's requirement
+_Found = dict[int, tuple[int, int, int, int, int]]
 
 
 class _Facts:
-    """Per-graph facts the checks share: every vertex's anti-satisfaction (0,
-    2, 6, 7), the bitmask of the anti-1 vertices (6, 7, on first use), and,
-    on first use, ``edges``: the first failing edge of 3, 4 and 5 in sorted
-    order (5's with its triangle bases, diamond apexes and requirement) and
-    whether 5 applies to any edge.  Dense graphs get the edge facts from
-    _dense_pass, which gives anti-satisfaction too when every condition runs.
-    Otherwise one pass of O(m) bitset operations gives every vertex's masks
-    W1 and W2 (the ends of at least one and of two 2-walks; without loops or
-    digons W1[u] minus N1(u) is N2(u)), and each edge condition runs over the
-    sorted edges, O(1) bitset operations each, to its first failure."""
+    """Per-graph facts the checks share, each computed on first use: every
+    vertex's anti-satisfaction (0, 2, 6, 7), the bitmask of the anti-1
+    vertices (6, 7), and ``edges``: the first failing edge of 3, 4 and 5 in
+    sorted order and whether 5 applies to any edge.  One _block_pass gives
+    anti-satisfaction alone, or with ``edges``, everything."""
 
-    def __init__(self, g: Digraph, every_condition: bool = False):
+    def __init__(self, g: Digraph):
         self.g = g
-        if every_condition and _takes_dense_pass(g):
-            self.anti, self.edges = _dense_pass(g)
-        else:
-            self.walks = _two_walks(g._out, g.edges)
-            pairs = zip(g._out, self.walks)
-            self.anti = [row.bit_count() - (once & ~row).bit_count() for row, (once, _) in pairs]
+
+    @cached_property
+    def anti(self) -> list[int]:
+        return _block_pass(self.g, edges=False)[0]
+
+    @cached_property
+    def edges(self) -> tuple[_Found, bool]:
+        self.anti, edges = _block_pass(self.g, edges=True)
+        return edges
 
     @cached_property
     def ones(self) -> int:
         ones = np.packbits(np.array(self.anti, dtype=np.int64) == 1, bitorder="little")
         return int.from_bytes(ones.tobytes(), "little")
 
-    @cached_property
-    def edges(self) -> tuple[_Found, bool]:
-        g = self.g
-        if _takes_dense_pass(g):
-            return _dense_pass(g)[1]
-        out, walks = g._out, self.walks
 
-        def missing(u: int, v: int) -> int:  # |_missing|: N1(v) off N1(u) ∪ W2[u], v off W1[u]
-            once, twice = walks[u]
-            return (out[v] & ~(out[u] | twice)).bit_count() + (not once >> v & 1)
-
-        first = {
-            3: next(((u, v) for u, v in g.edges if missing(u, v) > 1), None),
-            4: next(
-                ((u, v) for u, v in g.edges if not out[u] & out[v] and not out[v] & walks[u][1]),
-                None,
-            ),
-        }
-        applicable, degree = False, [row.bit_count() for row in out]
-        for u, v in g.edges:
-            required = degree[v] - degree[u] + 1
-            if required > 0:
-                applicable = True
-                tri, apex = (out[u] & out[v]).bit_count(), (out[v] & walks[u][1]).bit_count()
-                if tri < required or apex < required:
-                    first[5] = (u, v, tri, apex, required)
-                    break
-        return {k: e for k, e in first.items() if e}, applicable
-
-
-def _dense_pass(g: Digraph) -> tuple[list[int], tuple[_Found, bool]]:
+def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]]:
     """Anti-satisfaction and the edge facts of _Facts from float64 block products.
 
-    The tails go in blocks of _BLOCK_CELLS // n, and the heads in chunks of as
-    many.  With A a block's out-rows and B a chunk's, the 2-walk counts are
-    the sum of A[:, chunk] @ B over the chunks: W1 is count >= 1, W2 count >=
-    2.  Then [A; W2; A | W2] @ B.T holds, for each edge (u,v) into the chunk,
-    its triangle bases |N1(u) ∩ N1(v)|, its diamond apexes |N1(v) ∩ W2[u]| and
-    condition 3's cover |N1(v) ∩ (N1(u) ∪ W2[u])|.  The products are exact:
-    every count is at most one out-degree.  O(n**3) flops; a block holds about
-    4 * _BLOCK_CELLS floats."""
-    degree = np.array([row.bit_count() for row in g._out], dtype=float)
-    step = max(1, _BLOCK_CELLS // g.n)
-    spans = [range(s, min(g.n, s + step)) for s in range(0, g.n, step)]
+    The tails go in consecutive blocks U.  With H the heads of U's edges, C
+    the columns H plus H's heads, A the out-rows of U and B those of H, both
+    on C, the 2-walk counts of U are A[:, H] @ B: W1 is count >= 1, W2 count
+    >= 2.  Then [A; W2; A | W2] @ B.T holds, for each edge (u,v) out of U,
+    its triangle bases |N1(u) ∩ N1(v)|, its diamond apexes |N1(v) ∩ W2[u]|
+    and condition 3's cover |N1(v) ∩ (N1(u) ∪ W2[u])|.  The products are
+    exact: every count is at most one out-degree.  A block's cost is about
+    4 * |U| * |H| * |C| multiply-adds.  It grows while that cost per tail
+    falls (_next_block) and |U| * |C| is at most _BLOCK_CELLS, and H goes in
+    chunks of as many cells, so the pass holds a few _BLOCK_CELLS floats.
+    Without ``edges``, and after the first failures of 3, 4 and 5, a block
+    makes only the 2-walk product."""
+    anti: list[int] = []
     first: _Found = {}
-    blocks = [_block(g, degree, tails, spans, first) for tails in spans]
-    return [a for anti, _ in blocks for a in anti], (first, any(applies for _, applies in blocks))
+    applicable, start = False, 0
+    while start < g.n:
+        tails, heads, cols = _next_block(g, start)
+        block_anti, applies = _block(g, tails, _ascending(heads), _ascending(cols), first, edges)
+        anti += block_anti
+        applicable |= applies
+        start = tails.stop
+    return anti, (first, applicable)
+
+
+def _next_block(g: Digraph, start: int) -> tuple[range, int, int]:
+    """The run U of tails from ``start``, with the masks of its H and C, that
+    grows while its modelled cost per tail falls and |U| * |C| is at most
+    _BLOCK_CELLS: one tail at least."""
+    out, stop, heads, cols, cost = g._out, start, 0, 0, float("inf")
+    while stop < g.n:
+        row = out[stop]
+        grown, new = cols | row, row & ~heads
+        while new:  # add each new head's out-row
+            low = new & -new
+            grown |= out[low.bit_length() - 1]
+            new ^= low
+        size, width = stop + 1 - start, grown.bit_count()
+        unpacked = (heads | row).bit_count() * width
+        per_tail = (_BLOCK_OVERHEAD + unpacked * (_UNPACK_COST + size)) / size
+        if stop > start and (size * width > _BLOCK_CELLS or per_tail > cost):
+            break
+        heads, cols, stop, cost = heads | row, grown, stop + 1, per_tail
+    return range(start, stop), heads, cols
+
+
+def _ascending(mask: int) -> np.ndarray:
+    """The set bit positions of mask, ascending."""
+    packed = np.frombuffer(mask.to_bytes(-(-mask.bit_length() // 8), "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little"))
 
 
 def _block(
-    g: Digraph, degree: np.ndarray, tails: range, spans: list[range], first: _Found
+    g: Digraph, tails: range, heads: np.ndarray, cols: np.ndarray, first: _Found, edges: bool
 ) -> tuple[list[int], bool]:
-    """Record in ``first`` the first failures among the edges out of ``tails``;
-    return the tails' anti-satisfaction and whether 5 applies to their edges."""
-    stack = np.zeros((3, len(tails), g.n))
-    rows, walks, either = stack
-    rows[:] = g._adjacency(tails)
+    """Return the tails' anti-satisfaction and, with ``edges``, whether 5
+    applies to their edges, recording in ``first`` their first failures
+    unless 3, 4 and 5 have all failed."""
+    size, edges = len(tails), edges and len(first) < 3
+    if not len(heads):
+        return [0] * size, False
+    step = max(1, _BLOCK_CELLS // len(cols))
+    at = None if len(heads) == len(cols) else np.searchsorted(cols, heads)  # H's places in C
+    chunks = [
+        (heads[s : s + step], slice(s, s + step) if at is None else at[s : s + step])
+        for s in range(0, len(heads), step)
+    ]
+    lone = g._adjacency(heads, cols).astype(float) if len(chunks) == 1 else None
 
-    def heads(c: range) -> np.ndarray:  # a lone chunk is the block itself
-        return rows if len(spans) == 1 else g._adjacency(c).astype(float)
+    def rows_of(chunk: np.ndarray) -> np.ndarray:  # a lone chunk is unpacked once
+        return lone if lone is not None else g._adjacency(chunk, cols).astype(float)
 
-    for c in spans:
-        walks += np.matmul(rows[:, c.start : c.stop], heads(c), out=either)
-    tail_degree = degree[tails.start : tails.stop, None]
-    reached = walks > 0  # W1
-    anti = tail_degree[:, 0] - np.count_nonzero(reached & (rows == 0), axis=1)
+    # A, W2, A | W2 and a row of ones
+    stack = np.zeros((3 * size + 1 if edges else 2 * size, len(cols)))
+    rows, walks, either = stack[:size], stack[size : 2 * size], stack[2 * size : -1]
+    rows[:] = g._adjacency(tails, cols)
+    for chunk, places in chunks:
+        walks += rows[:, places] @ rows_of(chunk)
+    degree = np.array([g._out[u].bit_count() for u in tails], dtype=float)[:, None]
+    # W1 is walks > 0, and W1 minus N1 is N2
+    anti = (degree[:, 0] - np.add.reduce(walks > g.n * rows, axis=1)).astype(int).tolist()
+    if not edges:
+        return anti, False
+    reached = walks > 0
     np.greater(walks, 1, out=walks)  # W2
     np.maximum(rows, walks, out=either)
+    stack[-1] = 1
     applicable = False
-    for c in spans:
-        tri, apex, cover = (stack.reshape(-1, g.n) @ heads(c).T).reshape(3, len(tails), -1)
-        edge = rows[:, c.start : c.stop] > 0
-        head_degree = degree[c.start : c.stop]
-        applies = edge & (tail_degree <= head_degree)
-        applicable |= bool(applies.any())
-        # missing > 1, where missing = [v not in W1[u]] + |N1(v)| - cover
-        bad3 = edge & (np.subtract(head_degree, cover, out=cover) > reached[:, c.start : c.stop])
-        bad4 = edge & (tri == 0) & (apex == 0)
-        slack = np.minimum(tri, apex, out=cover)  # becomes min - required + 1
-        slack += tail_degree - head_degree
-        for k, bad in ((3, bad3), (4, bad4), (5, applies & (slack < 1))):
-            if bad.any():
-                i, j = divmod(int(bad.argmax()), len(c))
-                counts = (tri[i, j], apex[i, j], head_degree[j] - tail_degree[i, 0] + 1)
-                found = (tails[i], c[j], *map(int, counts))[: 5 if k == 5 else 2]
+    for chunk, places in chunks:
+        counts = stack @ rows_of(chunk).T
+        tri, apex, cover = counts[:-1].reshape(3, size, -1)
+        head_degree = counts[-1]  # from the row of ones
+        required = head_degree - degree + 1  # by condition 5, where positive
+        bad = np.empty((4, size, len(chunk)), dtype=bool)
+        # 3: [v not in W1[u]] + |N1(v)| - cover > 1; 4: no base; 5: too few
+        np.less(cover + reached[:, places], head_degree, out=bad[0])
+        np.less(tri + apex, 1, out=bad[1])
+        np.less(np.minimum(tri, apex), required, out=bad[2])
+        np.greater(required, 0, out=bad[3])
+        bad &= rows[:, places] > 0
+        flat = bad.reshape(4, -1)
+        *hits, applies = flat.any(axis=1).tolist()
+        applicable |= applies
+        for k, hit, i in zip((3, 4, 5), hits, flat.argmax(axis=1).tolist()):
+            if hit:
+                u, v = divmod(i, len(chunk))
+                sizes = (tri[u, v], apex[u, v], required[u, v])
+                found = (tails[u], int(chunk[v]), *map(int, sizes))
                 first[k] = min(first.get(k, found), found)
-    return anti.astype(int).tolist(), applicable
+    return anti, applicable
 
 
 def _check_no_satisfactory(g: Digraph, facts: _Facts) -> ConditionVerdict:
@@ -273,16 +296,16 @@ def _check_anti_satisfaction_band(g: Digraph, facts: _Facts) -> ConditionVerdict
 def _check_avoiding_paths(g: Digraph, facts: _Facts) -> ConditionVerdict:
     first = facts.edges[0]
     if 3 in first:
-        u, v = first[3]
-        missing = _missing(g, (u, v), _two_walks(g._out, ((u, a) for a in _bits(g._out[u])))[u])
-        return ConditionVerdict(3, FAIL, {"edge": [u, v], "missing": list(_bits(missing))})
+        u, v = first[3][:2]
+        missing = sorted(avoiding_reach(g, (u, v))[1])
+        return ConditionVerdict(3, FAIL, {"edge": [u, v], "missing": missing})
     return ConditionVerdict(3, PASS if g.edges else NOT_APPLICABLE)
 
 
 def _check_every_edge_is_base(g: Digraph, facts: _Facts) -> ConditionVerdict:
     first = facts.edges[0]
     if 4 in first:
-        return ConditionVerdict(4, FAIL, {"edge": list(first[4])})
+        return ConditionVerdict(4, FAIL, {"edge": list(first[4][:2])})
     return ConditionVerdict(4, PASS if g.edges else NOT_APPLICABLE)
 
 
@@ -346,7 +369,9 @@ def run_filter(g: Digraph, short_circuit: bool = True) -> FilterReport:
     """
     verdicts: list[ConditionVerdict] = []
     survived = True
-    facts = _Facts(g, every_condition=not short_circuit)
+    facts = _Facts(g)
+    if not short_circuit:
+        facts.edges  # every check runs: make the one pass that gives every fact
     for k in EVALUATION_ORDER:
         verdict = check_condition(g, k, facts)
         verdicts.append(verdict)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .digraph import Digraph, Edge, _bits
 
@@ -62,17 +61,14 @@ def triangle_base_count(g: Digraph, edge: Edge) -> int:
     return (g._out[u] & g._out[v]).bit_count()
 
 
-def _two_walks(rows: tuple[int, ...], edges: Iterable[Edge]) -> list[tuple[int, int]]:
-    """Per vertex x, the bitsets of the vertices that end at least one, and at
-    least two, 2-walks x -> a -> w over the edges (x, a) of ``edges``, from one
-    pass over them; ``rows`` are the out-rows, and a vertex that tails no edge
-    gets (0, 0)."""
-    once = [0] * len(rows)
-    twice = [0] * len(rows)
-    for x, a in edges:
-        twice[x] |= once[x] & rows[a]
-        once[x] |= rows[a]
-    return list(zip(once, twice))
+def _two_walks(rows: tuple[int, ...], x: int) -> tuple[int, int]:
+    """The bitsets of the vertices that end at least one, and at least two,
+    2-walks x -> a -> w; ``rows`` are the out-rows."""
+    once = twice = 0
+    for a in _bits(rows[x]):
+        twice |= once & rows[a]
+        once |= rows[a]
+    return once, twice
 
 
 def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
@@ -87,7 +83,7 @@ def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
     :func:`diamond_witnesses` to recover the (v,w) pairs.
     """
     t, u = g._require_edge(edge)
-    twice = _two_walks(g._out, ((t, a) for a in _bits(g._out[t])))[t][1]
+    twice = _two_walks(g._out, t)[1]
     return set(_bits(g._out[u] & twice))
 
 

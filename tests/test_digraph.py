@@ -1,12 +1,11 @@
 import pickle
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seymour import Digraph, parse_digraph
+from seymour import Digraph
 from seymour.errors import (
     DigonPair,
     DuplicateEdge,
@@ -370,16 +369,3 @@ def test_trusted_derivations_match_edge_list_oracle(adj, data):
     if g.m:
         edge = data.draw(st.sampled_from(g.edges))
         assert_same_graph(g.delete_edge(edge), Digraph(g.n, set(g.edges) - {edge}))
-
-
-def test_delete_vertex_builds_no_matrix():
-    # the (n, n) bool matrix of 8,192 vertices would be 64 MiB
-    g = parse_digraph("8192 2\n0 1\n2 3\n")
-    tracemalloc.start()
-    try:
-        z, relabel = g.delete_vertex(1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (z.n, z.edges, relabel[8191]) == (8191, ((1, 2),), 8190)
-    assert peak < 4 << 20

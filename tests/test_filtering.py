@@ -228,15 +228,16 @@ def test_planted_positives_match_witness_oracles(d, h, passing):
 
 
 def _small_blocks_agree(g):
-    """The dense pass with blocks of one tail and one head, and of three, gives
-    the default run's report and the oracles' verdicts."""
-    whole = run_filter(g, short_circuit=False).as_dict()
+    """The block pass with blocks of one tail and chunks of one head, and with
+    blocks of about three tails, gives the default run's reports and the
+    oracles' verdicts."""
+    whole = [run_filter(g, short_circuit).as_dict() for short_circuit in (False, True)]
     for cells in (1, 3 * g.n):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(filtering, "_BLOCK_CELLS", cells)
-            patch.setattr(filtering, "_takes_dense_pass", lambda g: True)
             seamed = run_filter(g, short_circuit=False)
-        assert seamed.as_dict() == whole, f"{cells} cells"
+            short = run_filter(g, short_circuit=True)
+        assert [seamed.as_dict(), short.as_dict()] == whole, f"{cells} cells"
     verdicts = {v.condition: v for v in seamed.verdicts}
     for k, oracle in oracles.EDGE_VERDICT_ORACLES.items():
         assert verdicts[k].as_dict() == oracle(g.n, g.edges), f"condition {k}"
@@ -257,7 +258,6 @@ def _small_blocks_agree(g):
 )
 def test_small_blocks_agree_on_the_planted_products(d, h):
     product, _ = build_product(_regular_tournament(d), h)
-    assert filtering._takes_dense_pass(product)
     _small_blocks_agree(product)
 
 
@@ -274,24 +274,29 @@ def test_small_blocks_agree_on_graphs_past_a_word(n, p, seed):
     ids=["TT", "T7", "T13xC5"],
 )
 def test_filter_makes_one_two_walk_pass_and_no_profiles_call(monkeypatch, g, short_circuit):
-    # a dense graph run in full gets anti-satisfaction from the block products:
-    # only condition 3's witness then walks, from its one tail
-    passes = []
-    original = filtering._two_walks
+    # one block pass gives every 2-walk fact a run needs (a short-circuited
+    # run stops at condition 0 here, so it needs anti-satisfaction alone);
+    # only condition 3's witness walks again, from its one tail
+    passes, walks = [], []
+    original, walk = filtering._block_pass, filtering._two_walks
 
-    def counting(rows, edges):
-        passes.append(edges is g.edges)
-        return original(rows, edges)
+    def counting(g, edges):
+        passes.append((g, edges))
+        return original(g, edges)
+
+    def walking(rows, x):
+        walks.append(x)
+        return walk(rows, x)
 
     def refuse(self):
         raise AssertionError("Digraph.profiles called")
 
-    monkeypatch.setattr(filtering, "_two_walks", counting)
+    monkeypatch.setattr(filtering, "_block_pass", counting)
+    monkeypatch.setattr(filtering, "_two_walks", walking)
     monkeypatch.setattr(Digraph, "profiles", refuse)
     report = run_filter(g, short_circuit)
-    dense = filtering._takes_dense_pass(g)
-    assert dense == (g.n == 65)
-    assert passes.count(True) == (0 if dense and not short_circuit else 1)
+    assert passes == [(g, not short_circuit)]
+    assert len(walks) <= 1
     assert report.evaluation_order == (list(EVALUATION_ORDER) if not short_circuit else [0])
 
 
@@ -359,18 +364,10 @@ class TestRunFilter:
         assert short.verdicts == full.verdicts[: len(short.verdicts)]
 
 
-def _bit_walks(g, x):
-    """The two-walk masks of x from its out-row's set bits, one _bits yield each."""
-    once = twice = 0
-    for a in _bits(g._out[x]):
-        twice |= once & g._out[a]
-        once |= g._out[a]
-    return once, twice
-
-
 def _check_facts(g):
-    """Both passes give the oracles' anti-satisfaction, anti-1 mask and first
-    failing edges; the bitset pass's walks match a walk from each vertex's bits."""
+    """The facts give the oracles' anti-satisfaction, anti-1 mask and first
+    failing edges, with the default blocks and with blocks of one tail, and
+    whether anti-satisfaction is asked for before the edge facts or after."""
     anti = [n1 - n2 for n1, n2 in oracles.profile_sizes(g.n, g.edges)]
     first, applicable = {}, False
     for k, oracle in oracles.EDGE_VERDICT_ORACLES.items():
@@ -380,14 +377,16 @@ def _check_facts(g):
             w = verdict["witness"]
             counts = (w["triangle_bases"], w["diamond_apexes"], w["required"]) if k == 5 else ()
             first[k] = (*w["edge"], *counts)
-    for dense in (False, True):
+    for cells in (filtering._BLOCK_CELLS, 1):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(filtering, "_takes_dense_pass", lambda g: dense)
-            facts = filtering._Facts(g, every_condition=True)
-            assert facts.edges == (first, applicable)
-        assert facts.anti == anti
-        assert list(_bits(facts.ones)) == [u for u, a in enumerate(anti) if a == 1]
-    assert filtering._Facts(g).walks == [_bit_walks(g, x) for x in range(g.n)]
+            patch.setattr(filtering, "_BLOCK_CELLS", cells)
+            alone, together = filtering._Facts(g), filtering._Facts(g)
+            assert alone.anti == anti  # from a pass without the edge products
+            assert alone.edges == together.edges
+            assert {k: e[: 5 if k == 5 else 2] for k, e in together.edges[0].items()} == first
+            assert together.edges[1] == applicable
+        assert alone.anti == together.anti == anti
+        assert list(_bits(together.ones)) == [u for u, a in enumerate(anti) if a == 1]
 
 
 class TestFacts:
@@ -422,8 +421,7 @@ def test_band_cycle_reads_only_the_kept_rows():
     assert _peak(lambda: run_filter(g, short_circuit=False)) < 4 << 20
 
 
-def test_dense_pass_holds_a_few_blocks_of_floats():
+def test_block_pass_holds_a_few_blocks_of_floats():
     # a 513-vertex tournament: one (n, n) float matrix is 2 MiB
     g = _regular_tournament(513)
-    assert filtering._takes_dense_pass(g)
-    assert _peak(lambda: filtering._Facts(g, every_condition=True)) < 6 * 8 * filtering._BLOCK_CELLS
+    assert _peak(lambda: filtering._Facts(g).edges) < 6 * 8 * filtering._BLOCK_CELLS
