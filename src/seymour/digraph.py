@@ -14,19 +14,19 @@ All derivation operations (edge/vertex deletion, induced subgraphs) return
 new graphs; values are safe to share between concurrent workers.
 
 ``_checked_parts`` is the one edge check, vectorised over a whole edge list:
-it reports the first bad position and builds the sorted edges and both row
-tuples without an (n, n) matrix.  ``Digraph(n, edges)`` runs it over the
-sorted edges, for user input; ``parse_digraph`` runs it in line order, so
-errors carry line numbers, and then calls ``Digraph._from_parts``.  That and
-``Digraph._from_adjacency(adj)`` (from an (n, n) bool matrix) check nothing:
-only the parser and code that is loop-free and digon-free by construction
-call them (the derivations below, the random models, the graphs ``search``
-decodes or draws, and ``build_product``).
+it reports the first bad position and builds the out- and in-rows without an
+(n, n) matrix; a graph stores only those, and ``edges`` is read off its out-rows.
+``Digraph(n, edges)`` runs the check over the sorted edges, for user input;
+``parse_digraph`` runs it in line order, so errors carry line numbers, and then
+calls ``Digraph._from_rows``.  That and ``Digraph._from_adjacency(adj)`` (from
+an (n, n) bool matrix) check nothing: only the parser and code that is loop-free
+and digon-free by construction call them (the derivations below, the random
+models, the graphs ``search`` decodes or draws, and ``build_product``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from operator import index
 from typing import Callable, Iterable, Iterator
 
@@ -56,10 +56,20 @@ def _bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
+def _two_walks(rows: Rows, x: int) -> tuple[int, int]:
+    """The bitsets of the vertices that end at least one, and at least two,
+    2-walks x -> a -> w; ``rows`` are the out-rows."""
+    once = twice = 0
+    for a in _bits(rows[x]):
+        twice |= once & rows[a]
+        once |= rows[a]
+    return once, twice
+
+
 def _checked_parts(
     n: int, values: list[int] | np.ndarray, line_of: Callable[[int], int | None] = lambda i: None
-) -> tuple[tuple[Edge, ...], Rows, Rows]:
-    """The one edge check: the sorted edges, out-rows and in-rows of the edges
+) -> tuple[Rows, Rows]:
+    """The one edge check: the out-rows and in-rows of the edges
     (values[2i], values[2i + 1]), i = 0, 1, ... in input order (a list or int64 array).
 
     The first bad position i raises, with line ``line_of(i)``; at one position
@@ -92,9 +102,8 @@ def _checked_parts(
             raise LoopEdge(u, line=line)
         first = order[np.searchsorted(pairs, pair[i])]  # i is the first bad: one earlier
         raise (DuplicateEdge if values[2 * first] == u else DigonPair)(u, v, line=line)
-    keys = np.sort(tails * stride + heads)
-    edges = tuple(zip((keys // stride).tolist(), (keys % stride).tolist()))
-    return edges, _rows(n, stride, keys), _rows(n, stride, np.sort(heads * stride + tails))
+    out = _rows(n, stride, np.sort(tails * stride + heads))
+    return out, _rows(n, stride, np.sort(heads * stride + tails))
 
 
 def _rows(n: int, stride: int, keys: np.ndarray) -> Rows:
@@ -129,13 +138,10 @@ def _unpacked(rows: np.ndarray) -> np.ndarray:
     return bits.view(bool)
 
 
-def _row_masks(adj: np.ndarray) -> tuple[int, ...]:
+def _row_masks(adj: np.ndarray) -> Rows:
     """Row u of a bool matrix as an int with bit v set iff adj[u, v]."""
-    words = _packed_rows(adj).T.tolist()  # one list per word column
-    masks = words.pop()
-    for low in reversed(words):  # only when n > 64
-        masks = [high << 64 | word for high, word in zip(masks, low)]
-    return tuple(masks)
+    data, size = np.packbits(adj, axis=1, bitorder="little").tobytes(), -(-adj.shape[1] // 8)
+    return tuple(int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size))
 
 
 @dataclass(frozen=True)
@@ -163,37 +169,33 @@ class Digraph:
     """A loop-free, digon-free directed graph on vertices 0..n-1.
 
     Construction validates the edge list; the first offending edge in
-    canonical (sorted) order is reported.  Instances are immutable:
-    ``edges`` is a sorted tuple and is the canonical iteration order.
+    canonical (sorted) order is reported.  Instances are immutable and store
+    only out- and in-rows; ``edges``, the sorted tuple, is read off the out-rows.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in")
+    __slots__ = ("n", "_out", "_in")
 
     n: int
-    edges: tuple[Edge, ...]
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 1:
             raise EmptyVertexSet()
-        ordered = sorted((index(u), index(v)) for u, v in edges)
-        parts = (n, *_checked_parts(n, list(chain.from_iterable(ordered))))
-        for name, value in zip(self.__slots__, parts):
+        flat = list(chain.from_iterable(sorted((index(u), index(v)) for u, v in edges)))
+        for name, value in zip(self.__slots__, (n, *_checked_parts(n, flat))):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _from_parts(cls, edges: tuple[Edge, ...], out: Rows, inn: Rows) -> Digraph:
-        """Unvalidated graph from sorted edges and their out- and in-rows."""
+    def _from_rows(cls, out: Rows, inn: Rows) -> Digraph:
+        """Unvalidated graph of its out-rows and in-rows."""
         g = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, (len(out), edges, out, inn)):
+        for name, value in zip(cls.__slots__, (len(out), out, inn)):
             object.__setattr__(g, name, value)
         return g
 
     @classmethod
     def _from_adjacency(cls, adj: np.ndarray) -> Digraph:
         """Unvalidated graph of a loop-free, digon-free (n, n) bool matrix."""
-        tails, heads = np.nonzero(adj)  # row-major, so edges come out sorted
-        edges = tuple(zip(tails.tolist(), heads.tolist()))
-        return cls._from_parts(edges, _row_masks(adj), _row_masks(adj.T))
+        return cls._from_rows(_row_masks(adj), _row_masks(adj.T))
 
     def _adjacency(
         self, keep: Iterable[int] | None = None, cols: np.ndarray | None = None
@@ -220,17 +222,33 @@ class Digraph:
     # -- basic accessors ----------------------------------------------------
 
     @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The sorted edges, read off the out-rows in one pass that unpacks only the
+        nonzero bytes of the rows with edges: memory grows with the rows, not as n * n."""
+        tails = [u for u, row in enumerate(self._out) if row]
+        ends = list(accumulate((-(-self._out[u].bit_length() // 8) for u in tails), initial=0))
+        buf = bytearray(ends[-1])
+        for u, start, end in zip(tails, ends, ends[1:]):
+            buf[start:end] = self._out[u].to_bytes(end - start, "little")
+        at = np.flatnonzero(buf)  # the nonzero bytes, unpacked to 8 bits each
+        bits = np.flatnonzero(np.unpackbits(np.frombuffer(buf, np.uint8)[at], bitorder="little"))
+        counts = [self._out[u].bit_count() for u in tails]  # a row's edges, in bit order
+        heads = at[bits >> 3] * 8 + (bits & 7) - np.repeat(8 * np.array(ends[:-1]), counts)
+        # a list first: each resize of a growing tuple puts it back in the GC's youngest generation
+        return tuple(list(zip(np.repeat(tails, counts).tolist(), heads.tolist())))
+
+    @property
     def m(self) -> int:
         """Edge count."""
-        return len(self.edges)
+        return sum(row.bit_count() for row in self._out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._out == other._out
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._out))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, edges={list(self.edges)!r})"
@@ -314,15 +332,8 @@ class Digraph:
     def profile(self, u: int) -> NeighborhoodProfile:
         """|N1|, |N2| and the derived anti-satisfaction of u."""
         self._check_vertex(u)
-        first = self._out[u]
-        second = 0
-        for v in _bits(first):
-            second |= self._out[v]
-        return NeighborhoodProfile(
-            vertex=u,
-            n1=first.bit_count(),
-            n2=(second & ~first).bit_count(),  # no digon, so u is not in second
-        )
+        first, second = self._out[u], _two_walks(self._out, u)[0]  # no digon: u is not in second
+        return NeighborhoodProfile(u, first.bit_count(), (second & ~first).bit_count())
 
     def profiles(self) -> list[NeighborhoodProfile]:
         """The profile of every vertex, from one pass over the sorted edges.

@@ -35,10 +35,9 @@ from typing import Any
 
 import numpy as np
 
-from .digraph import Digraph, Edge, _bits
+from .digraph import Digraph, Edge, _bits, _row_masks, _two_walks
 from .errors import ConditionOutOfRange
 from .structure import (  # noqa: F401  (re-exported: callers look the counters up here)
-    _two_walks,
     diamond_base_targets,
     has_directed_cycle,
     is_strongly_connected,
@@ -149,8 +148,7 @@ class _Facts:
 
     @cached_property
     def ones(self) -> int:
-        ones = np.packbits(np.array(self.anti, dtype=np.int64) == 1, bitorder="little")
-        return int.from_bytes(ones.tobytes(), "little")
+        return _row_masks(np.array([self.anti]) == 1)[0]
 
 
 def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]]:
@@ -299,14 +297,14 @@ def _check_avoiding_paths(g: Digraph, facts: _Facts) -> ConditionVerdict:
         u, v = first[3][:2]
         missing = sorted(avoiding_reach(g, (u, v))[1])
         return ConditionVerdict(3, FAIL, {"edge": [u, v], "missing": missing})
-    return ConditionVerdict(3, PASS if g.edges else NOT_APPLICABLE)
+    return ConditionVerdict(3, PASS if g.m else NOT_APPLICABLE)
 
 
 def _check_every_edge_is_base(g: Digraph, facts: _Facts) -> ConditionVerdict:
     first = facts.edges[0]
     if 4 in first:
         return ConditionVerdict(4, FAIL, {"edge": list(first[4][:2])})
-    return ConditionVerdict(4, PASS if g.edges else NOT_APPLICABLE)
+    return ConditionVerdict(4, PASS if g.m else NOT_APPLICABLE)
 
 
 def _check_base_multiplicity(g: Digraph, facts: _Facts) -> ConditionVerdict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .digraph import Digraph, Edge, _bits
+from .digraph import Digraph, Edge, _bits, _two_walks
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,6 @@ def triangle_base_count(g: Digraph, edge: Edge) -> int:
     """Number of transitive triangles having ``edge`` as base: |N1(u) ∩ N1(v)|."""
     u, v = g._require_edge(edge)
     return (g._out[u] & g._out[v]).bit_count()
-
-
-def _two_walks(rows: tuple[int, ...], x: int) -> tuple[int, int]:
-    """The bitsets of the vertices that end at least one, and at least two,
-    2-walks x -> a -> w; ``rows`` are the out-rows."""
-    once = twice = 0
-    for a in _bits(rows[x]):
-        twice |= once & rows[a]
-        once |= rows[a]
-    return once, twice
 
 
 def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:

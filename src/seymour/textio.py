@@ -61,6 +61,7 @@ def _plain_values(body: str) -> np.ndarray | None:
     if uneven or lengths.max(initial=0) > 18:  # 19 digits may not fit int64
         return None
     values = (raw[starts] - np.uint8(48)).astype(np.int64)
+    del digit, change, gaps  # only raw, starts and lengths are read from here on
     for place in range(1, lengths.max(initial=0)):  # Horner's rule, one digit place at a time
         more = np.flatnonzero(lengths > place)
         values[more] = values[more] * 10 + (raw[starts[more] + place] - np.uint8(48))
@@ -118,7 +119,7 @@ def parse_digraph(text: str) -> Digraph:
     parts = _checked_parts(n, values[2:], lambda i: line(i + 1))
     if bad is not None:
         raise syntax_error(bad, "edge tail and head")
-    return Digraph._from_parts(*parts)
+    return Digraph._from_rows(*parts)
 
 
 def write_digraph(g: Digraph) -> str:

@@ -346,9 +346,35 @@ def assert_same_graph(got, want):
 @given(digon_free_adjacency())
 def test_trusted_constructor_matches_validating_constructor(adj):
     g = Digraph._from_adjacency(adj)
+    assert g.edges == tuple(edges_of(adj))  # read off the rows, against the matrix itself
     assert_same_graph(g, Digraph(adj.shape[0], edges_of(adj)))
     assert_same_graph(pickle.loads(pickle.dumps(g)), g)
     assert (g._adjacency() == adj).all()
+
+
+def test_a_graph_stores_only_its_rows():
+    assert Digraph.__slots__ == ("n", "_out", "_in")
+    assert not hasattr(C3, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        # heads on both sides of byte and 64-bit word bounds, in a wide row and a
+        # lone last row, with empty rows between them
+        (130, [(3, v) for v in (7, 8, 63, 64, 65, 129)] + [(129, 0), (129, 1)]),
+        (66, [(u, 65) for u in (0, 7, 8, 63, 64)]),
+        (5, [(1, 2), (2, 3), (3, 1)]),  # empty first and last rows
+        (9, [(0, 8), (8, 1)]),  # bit 8 opens row 0's second byte; bit 1 of the last row
+        (1, []),
+        (200, []),
+    ],
+)
+def test_edges_are_read_off_the_rows(n, edges):
+    g = Digraph(n, reversed(edges))
+    assert g.edges == tuple(sorted(edges))
+    assert g.m == len(edges)
+    assert Digraph._from_adjacency(g._adjacency()).edges == g.edges
 
 
 @settings(max_examples=60, deadline=None)

@@ -270,6 +270,16 @@ def _peak(call):
         tracemalloc.stop()
 
 
+def test_edges_are_read_in_memory_that_grows_with_the_rows():
+    # 256 out-rows as wide as head 131071: 4 MiB of rows, and 32 MiB if every
+    # one of their bits were unpacked to a byte
+    n = MAX_VERTICES
+    g = parse_digraph(f"{n} 256\n" + "".join(f"{u} {n - 1}\n" for u in range(256)))
+    assert sum(row.bit_length() for row in g._out) == 256 * n
+    assert _peak(lambda: g.edges) < 8 << 20
+    assert g.edges == tuple((u, n - 1) for u in range(256))
+
+
 def test_plain_documents_parse_within_the_general_tokenizers_peak():
     text = write_digraph(random_tournament(300, seed=1))  # 44,850 edge lines
     wide = text.replace(" ", "\u3000", 1)  # one non-ASCII blank: the general tokenizer
