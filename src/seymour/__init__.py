@@ -16,7 +16,6 @@ from .filtering import (
     run_filter,
 )
 from .product import (
-    PredictedProfile,
     ProductLabeling,
     build_product,
     is_valid_second_factor,
@@ -58,7 +57,6 @@ __all__ = [
     "avoiding_reach",
     "check_condition",
     "run_filter",
-    "PredictedProfile",
     "ProductLabeling",
     "build_product",
     "is_valid_second_factor",

@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict[str, Any]) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True))
 
 
 def _read_graph(path: str) -> Digraph:
@@ -72,7 +72,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     satisfactory = [p.vertex for p in profiles if p.satisfactory]
     _emit(
         {
-            "version": __version__,
             "n": g.n,
             "m": g.m,
             "vertices": rows,
@@ -86,14 +85,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     g = _read_graph(args.file)
     report = run_filter(g, short_circuit=not args.no_short_circuit)
-    _emit(
-        {
-            "version": __version__,
-            "n": g.n,
-            "m": g.m,
-            "report": report.as_dict(),
-        }
-    )
+    _emit({"n": g.n, "m": g.m, "report": report.as_dict()})
     return 0
 
 
@@ -115,7 +107,6 @@ def _cmd_product(args: argparse.Namespace) -> int:
         _write_text(args.labels, "\n".join(lines) + "\n")
     _emit(
         {
-            "version": __version__,
             "d_vertices": d_graph.n,
             "h_vertices": h_graph.n,
             "product_vertices": product.n,
@@ -146,7 +137,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
     )
     report = run_search(spec)
-    _emit({"version": __version__, **report.as_dict()})
+    _emit(report.as_dict())
     return 2 if report.counterexamples_found else 0
 
 

@@ -377,9 +377,9 @@ class Digraph:
     def delete_edge(self, edge: Edge) -> Digraph:
         """Same vertex set, one edge fewer."""
         u, v = self._require_edge(edge)
-        adj = self._adjacency()
-        adj[u, v] = False
-        return Digraph._from_adjacency(adj)
+        out, inn = list(self._out), list(self._in)
+        out[u], inn[v] = out[u] & ~(1 << v), inn[v] & ~(1 << u)
+        return Digraph._from_rows(tuple(out), tuple(inn))
 
     def delete_vertex(self, u: int) -> tuple[Digraph, dict[int, int]]:
         """Drop u and all incident edges; survivors are relabeled densely."""

@@ -37,7 +37,7 @@ import numpy as np
 
 from .digraph import Digraph, Edge, _bits, _row_masks, _two_walks
 from .errors import ConditionOutOfRange
-from .structure import (  # noqa: F401  (re-exported: callers look the counters up here)
+from .structure import (
     diamond_base_targets,
     has_directed_cycle,
     is_strongly_connected,
@@ -122,9 +122,8 @@ _BLOCK_CELLS = 1 << 15
 #: OpenBLAS).  They only decide where blocks end; no report depends on them.
 _BLOCK_OVERHEAD, _UNPACK_COST = 1 << 18, 8
 
-#: condition -> its first failing edge (u, v) with the edge's triangle bases,
-#: diamond apexes and condition 5's requirement
-_Found = dict[int, tuple[int, int, int, int, int]]
+#: condition -> its first failing edge (u, v)
+_Found = dict[int, Edge]
 
 
 class _Facts:
@@ -259,8 +258,7 @@ def _block(
         for k, hit, i in zip((3, 4, 5), hits, flat.argmax(axis=1).tolist()):
             if hit:
                 u, v = divmod(i, len(chunk))
-                sizes = (tri[u, v], apex[u, v], required[u, v])
-                found = (tails[u], int(chunk[v]), *map(int, sizes))
+                found = (tails[u], int(chunk[v]))
                 first[k] = min(first.get(k, found), found)
     return anti, applicable
 
@@ -275,13 +273,9 @@ def _check_no_satisfactory(g: Digraph, facts: _Facts) -> ConditionVerdict:
 def _check_strongly_connected(g: Digraph, facts: _Facts) -> ConditionVerdict:
     if is_strongly_connected(g):
         return ConditionVerdict(1, PASS)
-    # Find the lexicographically first unreachable ordered pair as witness.
-    for u in range(g.n):
-        reach = g.walkable_neighborhood(u)
-        for v in range(g.n):
-            if v not in reach:
-                return ConditionVerdict(1, FAIL, {"source": u, "target": v})
-    raise AssertionError("unreachable: connectivity check disagreed with itself")
+    # The lexicographically first unreachable ordered pair is the witness.
+    u, reach = next((u, r) for u in range(g.n) if len(r := g.walkable_neighborhood(u)) < g.n)
+    return ConditionVerdict(1, FAIL, {"source": u, "target": min(set(range(g.n)) - reach)})
 
 
 def _check_anti_satisfaction_band(g: Digraph, facts: _Facts) -> ConditionVerdict:
@@ -294,7 +288,7 @@ def _check_anti_satisfaction_band(g: Digraph, facts: _Facts) -> ConditionVerdict
 def _check_avoiding_paths(g: Digraph, facts: _Facts) -> ConditionVerdict:
     first = facts.edges[0]
     if 3 in first:
-        u, v = first[3][:2]
+        u, v = first[3]
         missing = sorted(avoiding_reach(g, (u, v))[1])
         return ConditionVerdict(3, FAIL, {"edge": [u, v], "missing": missing})
     return ConditionVerdict(3, PASS if g.m else NOT_APPLICABLE)
@@ -303,19 +297,19 @@ def _check_avoiding_paths(g: Digraph, facts: _Facts) -> ConditionVerdict:
 def _check_every_edge_is_base(g: Digraph, facts: _Facts) -> ConditionVerdict:
     first = facts.edges[0]
     if 4 in first:
-        return ConditionVerdict(4, FAIL, {"edge": list(first[4][:2])})
+        return ConditionVerdict(4, FAIL, {"edge": list(first[4])})
     return ConditionVerdict(4, PASS if g.m else NOT_APPLICABLE)
 
 
 def _check_base_multiplicity(g: Digraph, facts: _Facts) -> ConditionVerdict:
     first, applicable = facts.edges
     if 5 in first:
-        u, v, triangles, apexes, required = first[5]
+        u, v = first[5]
         witness = {
             "edge": [u, v],
-            "required": required,
-            "triangle_bases": triangles,
-            "diamond_apexes": apexes,
+            "required": g._out[v].bit_count() - g._out[u].bit_count() + 1,
+            "triangle_bases": triangle_base_count(g, (u, v)),
+            "diamond_apexes": len(diamond_base_targets(g, (u, v))),
         }
         return ConditionVerdict(5, FAIL, witness)
     return ConditionVerdict(5, PASS if applicable else NOT_APPLICABLE)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, NeighborhoodProfile
 from .errors import VertexOutOfRange
 
 
@@ -48,18 +48,6 @@ class ProductLabeling:
             yield pid, divmod(pid, self.h_count)
 
 
-@dataclass(frozen=True)
-class PredictedProfile:
-    """Closed-form |N1|, |N2| of a product vertex, from factor profiles only."""
-
-    n1: int
-    n2: int
-
-    @property
-    def anti_satisfaction(self) -> int:
-        return self.n1 - self.n2
-
-
 def is_valid_second_factor(h: Digraph) -> bool:
     """True iff every vertex of h has nonnegative anti-satisfaction.
 
@@ -87,8 +75,9 @@ def build_product(d_graph: Digraph, h_graph: Digraph) -> tuple[Digraph, ProductL
 
 def predicted_profile(
     d_graph: Digraph, h_graph: Digraph, d: int, h: int
-) -> PredictedProfile:
-    """Predicted neighborhood sizes of product vertex (d, h), no product built.
+) -> NeighborhoodProfile:
+    """The profile of product vertex (d, h), id d * |V(H)| + h as
+    ProductLabeling.encode gives it, from the factors' profiles alone.
 
     n1 = |N1_H(h)| + |V(H)| * |N1_D(d)| and likewise for n2: within its own
     copy the vertex sees h's neighborhoods, and every D-neighbor of d
@@ -96,7 +85,8 @@ def predicted_profile(
     """
     dp = d_graph.profile(d)
     hp = h_graph.profile(h)
-    return PredictedProfile(
+    return NeighborhoodProfile(
+        d * h_graph.n + h,
         n1=hp.n1 + h_graph.n * dp.n1,
         n2=hp.n2 + h_graph.n * dp.n2,
     )

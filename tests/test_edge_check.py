@@ -280,6 +280,14 @@ def test_edges_are_read_in_memory_that_grows_with_the_rows():
     assert g.edges == tuple((u, n - 1) for u in range(256))
 
 
+def test_an_edge_is_deleted_without_an_n_by_n_matrix():
+    # two disjoint edges on 8,192 vertices: an unpacked (n, n) matrix is 64 MiB
+    g = parse_digraph("8192 2\n0 1\n2 3\n")
+    assert _peak(lambda: g.delete_edge((2, 3))) < 1 << 20
+    assert g.delete_edge((2, 3)) == Digraph(8192, [(0, 1)])
+    assert g.delete_edge((2, 3)).in_mask(3) == 0
+
+
 def test_plain_documents_parse_within_the_general_tokenizers_peak():
     text = write_digraph(random_tournament(300, seed=1))  # 44,850 edge lines
     wide = text.replace(" ", "\u3000", 1)  # one non-ASCII blank: the general tokenizer

@@ -153,6 +153,19 @@ def test_fail_witnesses_replay(g):
 
 
 @settings(max_examples=150, deadline=None)
+@given(digraphs(max_n=6))
+def test_connectivity_witness_is_the_first_unreachable_pair(g):
+    out, _ = oracles.adjacency(g.n, g.edges)
+    unreachable = [
+        {"source": u, "target": v}
+        for u in range(g.n)
+        for v, d in sorted(oracles.bfs_distances(g.n, out, u).items())
+        if d == oracles.INF
+    ]
+    assert check_condition(g, 1).witness == (unreachable[0] if unreachable else None)
+
+
+@settings(max_examples=150, deadline=None)
 @given(digraphs(max_n=5))
 def test_verdicts_match_statement_oracles(g):
     for k, oracle in oracles.CONDITION_ORACLES.items():
@@ -374,16 +387,14 @@ def _check_facts(g):
         verdict = oracle(g.n, g.edges)
         applicable |= k == 5 and verdict["status"] != NOT_APPLICABLE
         if verdict["status"] == FAIL:
-            w = verdict["witness"]
-            counts = (w["triangle_bases"], w["diamond_apexes"], w["required"]) if k == 5 else ()
-            first[k] = (*w["edge"], *counts)
+            first[k] = tuple(verdict["witness"]["edge"])
     for cells in (filtering._BLOCK_CELLS, 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(filtering, "_BLOCK_CELLS", cells)
             alone, together = filtering._Facts(g), filtering._Facts(g)
             assert alone.anti == anti  # from a pass without the edge products
             assert alone.edges == together.edges
-            assert {k: e[: 5 if k == 5 else 2] for k, e in together.edges[0].items()} == first
+            assert together.edges[0] == first
             assert together.edges[1] == applicable
         assert alone.anti == together.anti == anti
         assert list(_bits(together.ones)) == [u for u, a in enumerate(anti) if a == 1]

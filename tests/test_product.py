@@ -97,6 +97,7 @@ def test_predicted_profile_matches_measured(d_graph, h_graph):
     for pid, (d, h) in labeling.pairs():
         predicted = predicted_profile(d_graph, h_graph, d, h)
         assert (predicted.n1, predicted.n2) == measured[pid]
+        assert predicted == product.profile(pid)
 
 
 @settings(max_examples=100, deadline=None)
