@@ -35,13 +35,9 @@ from .search import (
     space_size,
 )
 from .structure import (
-    DiamondWitness,
     diamond_base_targets,
-    diamond_witnesses,
     has_directed_cycle,
-    has_transitive_triangle,
     is_strongly_connected,
-    min_outdegree_vertex,
     triangle_base_count,
 )
 from .textio import parse_digraph, write_digraph
@@ -72,13 +68,9 @@ __all__ = [
     "random_triangle_free",
     "run_search",
     "space_size",
-    "DiamondWitness",
     "diamond_base_targets",
-    "diamond_witnesses",
     "has_directed_cycle",
-    "has_transitive_triangle",
     "is_strongly_connected",
-    "min_outdegree_vertex",
     "triangle_base_count",
     "parse_digraph",
     "write_digraph",

@@ -15,7 +15,9 @@ new graphs; values are safe to share between concurrent workers.
 
 ``_checked_parts`` is the one edge check, vectorised over a whole edge list:
 it reports the first bad position and builds the out- and in-rows without an
-(n, n) matrix; a graph stores only those, and ``edges`` is read off its out-rows.
+(n, n) matrix; a graph stores only those.  ``Digraph._edge_arrays`` reads the sorted
+edges off the out-rows as (tails, heads) arrays: ``edges`` pairs them into a tuple,
+and ``profiles`` and ``write_digraph`` read the arrays themselves.
 ``Digraph(n, edges)`` runs the check over the sorted edges, for user input;
 ``parse_digraph`` runs it in line order, so errors carry line numbers, and then
 calls ``Digraph._from_rows``.  That and ``Digraph._from_adjacency(adj)`` (from
@@ -170,7 +172,7 @@ class Digraph:
 
     Construction validates the edge list; the first offending edge in
     canonical (sorted) order is reported.  Instances are immutable and store
-    only out- and in-rows; ``edges``, the sorted tuple, is read off the out-rows.
+    only out- and in-rows; ``edges``, the sorted tuple, is a view read off the out-rows.
     """
 
     __slots__ = ("n", "_out", "_in")
@@ -221,10 +223,10 @@ class Digraph:
 
     # -- basic accessors ----------------------------------------------------
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        """The sorted edges, read off the out-rows in one pass that unpacks only the
-        nonzero bytes of the rows with edges: memory grows with the rows, not as n * n."""
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted edges as (tails, heads) int64 arrays, read off the out-rows in one
+        pass that unpacks only the nonzero bytes of the rows with edges: memory grows
+        with the rows, not as n * n."""
         tails = [u for u, row in enumerate(self._out) if row]
         ends = list(accumulate((-(-self._out[u].bit_length() // 8) for u in tails), initial=0))
         buf = bytearray(ends[-1])
@@ -233,9 +235,16 @@ class Digraph:
         at = np.flatnonzero(buf)  # the nonzero bytes, unpacked to 8 bits each
         bits = np.flatnonzero(np.unpackbits(np.frombuffer(buf, np.uint8)[at], bitorder="little"))
         counts = [self._out[u].bit_count() for u in tails]  # a row's edges, in bit order
-        heads = at[bits >> 3] * 8 + (bits & 7) - np.repeat(8 * np.array(ends[:-1]), counts)
+        starts = np.repeat(8 * np.array(ends[:-1], dtype=np.int64), counts)  # int64 if empty too
+        heads = at[bits >> 3] * 8 + (bits & 7) - starts
+        return np.repeat(np.array(tails, dtype=np.int64), counts), heads
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The sorted edges, paired off the two arrays of ``_edge_arrays``."""
+        tails, heads = self._edge_arrays()
         # a list first: each resize of a growing tuple puts it back in the GC's youngest generation
-        return tuple(list(zip(np.repeat(tails, counts).tolist(), heads.tolist())))
+        return tuple(list(zip(tails.tolist(), heads.tolist())))
 
     @property
     def m(self) -> int:
@@ -342,9 +351,10 @@ class Digraph:
         digons, so u never reaches itself and N2(u) is the reach minus N1(u).
         The whole-graph queries below read this pass.
         """
-        reach = [0] * self.n
-        for u, v in self.edges:
-            reach[u] |= self._out[v]
+        reach, out = [0] * self.n, self._out
+        tails, heads = self._edge_arrays()
+        for u, v in zip(tails.tolist(), heads.tolist()):
+            reach[u] |= out[v]
         return [
             NeighborhoodProfile(u, row.bit_count(), (second & ~row).bit_count())
             for u, (row, second) in enumerate(zip(self._out, reach))

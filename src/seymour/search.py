@@ -322,7 +322,7 @@ def _oriented(n: int, forward: np.ndarray, backward: np.ndarray | bool) -> np.nd
 
 
 def _has_transitive_triangle(adj: np.ndarray) -> bool:
-    """Matrix form of structure.has_transitive_triangle: some u -> v -> w has u -> w."""
+    """Some u -> v -> w has u -> w; tests check it against ``oracles.has_transitive_triangle``."""
     a = adj.astype(np.float32)  # BLAS; sums of 0/1 products cannot cancel to 0
     return bool((a @ a)[adj].any())
 

@@ -1,29 +1,15 @@
 """Structural predicates over digon-free digraphs.
 
-Cycle and connectivity tests, and the two local patterns
-the counterexample filter counts per edge: transitive triangles (an edge
-whose endpoints share an out-neighbor) and 2-directed diamonds (two
+The four the counterexample filter calls: strong connectivity, directed
+cycles, and the two local patterns it counts per edge: transitive triangles
+(an edge whose endpoints share an out-neighbor) and 2-directed diamonds (two
 internally disjoint 2-paths from a common tail to a common apex).
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .digraph import Digraph, Edge, _bits, _two_walks
-
-
-@dataclass(frozen=True)
-class DiamondWitness:
-    """Four distinct vertices carrying edges (t,u), (u,w), (t,v), (v,w).
-
-    (t,u) and (t,v) are the bases of the diamond, w its apex.
-    """
-
-    t: int
-    u: int
-    v: int
-    w: int
 
 
 def is_strongly_connected(g: Digraph) -> bool:
@@ -50,11 +36,6 @@ def has_directed_cycle(g: Digraph) -> bool:
     return peeled < g.n
 
 
-def has_transitive_triangle(g: Digraph) -> bool:
-    """True iff some edge (a,b) has a shared out-neighbor of a and b."""
-    return any(g._out[u] & g._out[v] for u, v in g.edges)
-
-
 def triangle_base_count(g: Digraph, edge: Edge) -> int:
     """Number of transitive triangles having ``edge`` as base: |N1(u) ∩ N1(v)|."""
     u, v = g._require_edge(edge)
@@ -69,25 +50,9 @@ def diamond_base_targets(g: Digraph, edge: Edge) -> set[int]:
     or digons every other midpoint v lies outside {t,u,w}, so the apexes
     are the out-neighbors of u that end at least two 2-walks from t: one
     pass over the edges out of t, then O(1) bitset operations.  A diamond's
-    count per base is the number of distinct apexes; use
-    :func:`diamond_witnesses` to recover the (v,w) pairs.
+    count per base is the number of distinct apexes.
     """
     t, u = g._require_edge(edge)
     twice = _two_walks(g._out, t)[1]
     return set(_bits(g._out[u] & twice))
 
-
-def diamond_witnesses(g: Digraph, edge: Edge) -> list[DiamondWitness]:
-    """All 2-directed diamonds with ``edge`` as a base, as full 4-tuples."""
-    t, u = g._require_edge(edge)
-    excluded = (1 << t) | (1 << u)
-    found = []
-    for w in _bits(g._out[u]):
-        for v in _bits(g._out[t] & g._in[w] & ~excluded & ~(1 << w)):
-            found.append(DiamondWitness(t=t, u=u, v=v, w=w))
-    return found
-
-
-def min_outdegree_vertex(g: Digraph) -> int:
-    """A vertex of minimum out-degree; ties broken by smallest id."""
-    return min(range(g.n), key=lambda u: (g._out[u].bit_count(), u))

@@ -124,4 +124,6 @@ def parse_digraph(text: str) -> Digraph:
 
 def write_digraph(g: Digraph) -> str:
     """Canonical document for g; deterministic bytes for equal graphs."""
-    return f"{g.n} {g.m}\n" + "%d %d\n" * g.m % tuple(chain.from_iterable(g.edges))
+    tails, heads = g._edge_arrays()
+    flat = np.column_stack((tails, heads)).ravel()  # tail, head, tail, head, ...
+    return f"{g.n} {len(tails)}\n" + "%d %d\n" * len(tails) % tuple(flat.tolist())

@@ -76,6 +76,11 @@ def min_out_degree(n, edges):
     return min(len(out[u]) for u in range(n))
 
 
+def min_out_degree_vertex(n, edges):
+    out, _ = adjacency(n, edges)
+    return min(range(n), key=lambda u: (len(out[u]), u))
+
+
 def strongly_connected(n, edges):
     out, _ = adjacency(n, edges)
     return all(
@@ -110,6 +115,10 @@ def triangle_bases(n, edges, e):
     u, v = e
     edge_set, _ = _edge_index(n, tuple(edges))
     return {w for w in range(n) if (u, w) in edge_set and (v, w) in edge_set}
+
+
+def has_transitive_triangle(n, edges):
+    return any(triangle_bases(n, edges, e) for e in edges)
 
 
 def diamond_apexes(n, edges, e):

@@ -14,7 +14,6 @@ from seymour import (
     build_product,
     graph_at_index,
     is_strongly_connected,
-    min_outdegree_vertex,
     predicted_profile,
     random_acyclic,
     random_digon_free,
@@ -114,7 +113,7 @@ def test_criterion_5_triangle_free_graphs():
     failures = 0
     for i in range(500):
         g = random_triangle_free(10, 0.2, seed=(505, i), max_retries=500)
-        if not g.profile(min_outdegree_vertex(g)).satisfactory:
+        if not g.profile(oracles.min_out_degree_vertex(g.n, g.edges)).satisfactory:
             failures += 1
     _report(
         5,

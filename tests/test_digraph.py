@@ -1,11 +1,12 @@
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seymour import Digraph
+from seymour import Digraph, build_product, random_tournament, run_filter, write_digraph
 from seymour.errors import (
     DigonPair,
     DuplicateEdge,
@@ -375,6 +376,23 @@ def test_edges_are_read_off_the_rows(n, edges):
     assert g.edges == tuple(sorted(edges))
     assert g.m == len(edges)
     assert Digraph._from_adjacency(g._adjacency()).edges == g.edges
+    # int64 without edges too, where np.repeat of two empty lists is float64
+    assert [a.dtype for a in g._edge_arrays()] == [np.int64, np.int64]
+    assert write_digraph(g) == f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+
+
+def test_the_library_reads_edges_as_arrays_not_as_the_tuple(monkeypatch):
+    d = random_tournament(7, seed=1)
+
+    def results():
+        product, labeling = build_product(d, C3)
+        return product, labeling, product.profiles(), write_digraph(product), run_filter(
+            product, short_circuit=False
+        )
+
+    want = results()
+    monkeypatch.setattr(Digraph, "edges", property(lambda g: pytest.fail("read g.edges")))
+    assert results() == want
 
 
 @settings(max_examples=60, deadline=None)

