@@ -13,8 +13,14 @@ under all 3^10 graphs on the last five, whose rows are tabled once per n.  The
 task decodes and gates its prefixes together.  A digon-free prefix needs each
 suffix vertex to reach out-degree 2 in those five; the suffix graphs that do
 are cached per vector of needs (3^5 of them), and only they, ORed with their
-prefix, reach the task's one verdict.  A random chunk is packed once, as one
-stack of draws.  Only the (expected zero) graphs without one become Digraphs.
+prefix, reach the task's one verdict.  A random chunk is drawn into one
+preallocated stack, each sample into its own slot, its uniforms a bounded
+block of rows at a time into one reused buffer, and packed once.  Past one
+byte a row the verdict first screens each graph's least-out-degree vertex:
+one satisfactory vertex settles a graph, every tournament has one (Fisher
+1996), and in random draws that vertex has settled every graph tried, so the
+pass over every vertex sees only what the screen leaves open.  Only the
+(expected zero) graphs without one become Digraphs.
 
 Randomness is implementation-pinned: sample i draws from numpy's
 Generator(PCG64(SeedSequence((seed, i)))), so serial and parallel runs agree.
@@ -57,6 +63,7 @@ _RANDOM_CHUNK = 128  # most samples per random chunk; fewer past 181 vertices
 _VERDICT_ROWS = 2**15  # most graphs per verdict pass, so that its arrays stay in cache
 _POOL_BATCH = 64  # most chunks sent to a worker at once
 _ROW_WIDTH = 8  # vertices a uint8 out-row can hold
+_DRAW_PAIRS = 2**16  # most pair uniforms a draw holds at once: 512 KiB of doubles
 _GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
@@ -145,15 +152,46 @@ def _own_bits(n: int) -> np.ndarray:
     return _frozen(_packed_rows(np.eye(n, dtype=bool))[:, None])[0]
 
 
+def _least_degree_satisfactory(rows: np.ndarray) -> np.ndarray:
+    """Per graph of an (N, n, W) batch as in _no_satisfactory_vertex: True
+    iff its least-out-degree vertex (the first on ties) has |N1| <= |N2|."""
+    graphs, n = np.arange(len(rows)), rows.shape[1]
+    count = np.min_scalar_type(n)
+    n1 = _row_counts(rows, count)
+    least = n1.argmin(axis=1)
+    own = rows[graphs, least]  # (N, W): its out-row
+    hit = np.unpackbits(own.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+    reach = np.bitwise_or.reduce(rows * hit[:, :, None], axis=1)
+    reach &= ~(own | _own_bits(n)[least, 0])
+    return n1[graphs, least] <= _row_counts(reach, count)
+
+
 def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
     """Per graph of an (N, n) or (N, n, W) batch of loop-free out-rows laid
     out as _packed_rows lays out n vertices, digons allowed: True iff no
-    vertex has |N1| <= |N2|.  Must agree with Digraph.profile."""
+    vertex has |N1| <= |N2|.  Must agree with Digraph.profile.  Past one byte
+    a row, only the graphs whose least-out-degree vertex is not satisfactory
+    go on to the pass over every vertex: one satisfactory vertex settles it."""
     if len(rows) > _VERDICT_ROWS:  # 300,000 graphs at once cost 2.6x as much per graph
         blocks = range(0, len(rows), _VERDICT_ROWS)
         return np.concatenate([_no_satisfactory_vertex(rows[i : i + _VERDICT_ROWS]) for i in blocks])
+    if not len(rows):
+        return np.zeros(0, dtype=bool)
     n = rows.shape[1]
-    cols = rows.reshape(len(rows), n, -1).transpose(1, 0, 2).copy()  # (n, N, W): per vertex
+    rows = rows.reshape(len(rows), n, -1)
+    if n <= _ROW_WIDTH:  # the exhaustive kernel's rows: there the screen costs more than it saves
+        return _every_vertex_unsatisfactory(rows)
+    found = ~_least_degree_satisfactory(rows)
+    if found.any():
+        found[found] = _every_vertex_unsatisfactory(rows[found])
+    return found
+
+
+def _every_vertex_unsatisfactory(rows: np.ndarray) -> np.ndarray:
+    """The verdict of _no_satisfactory_vertex on a nonempty (N, n, W) batch,
+    from N2 of every vertex."""
+    n = rows.shape[1]
+    cols = rows.transpose(1, 0, 2).copy()  # (n, N, W): per vertex
     count = np.min_scalar_type(n)  # holds any popcount; wider sums cost time
     n1 = _row_counts(cols, count)
     reach = _two_step(cols)
@@ -312,15 +350,6 @@ def _upper(n: int) -> np.ndarray:
     return _frozen(~np.tri(n, dtype=bool))[0]
 
 
-def _oriented(n: int, forward: np.ndarray, backward: np.ndarray | bool) -> np.ndarray:
-    """Pair k of combinations order as u -> v where forward[k], v -> u where backward[k]."""
-    upper = _upper(n)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[upper] = forward
-    adj.T[upper] = backward
-    return adj
-
-
 def _has_transitive_triangle(adj: np.ndarray) -> bool:
     """Some u -> v -> w has u -> w; tests check it against ``oracles.has_transitive_triangle``."""
     a = adj.astype(np.float32)  # BLAS; sums of 0/1 products cannot cancel to 0
@@ -328,23 +357,44 @@ def _has_transitive_triangle(adj: np.ndarray) -> bool:
 
 
 def _draw_adjacency(
-    model: str, n: int, p: float | None, rng: np.random.Generator, max_retries: int
+    model: str, n: int, p: float | None, entropies: list[list[int]], max_retries: int
 ) -> np.ndarray:
-    """The (n, n) bool matrix of one graph of a checked model in RANDOM_MODELS,
-    drawn from rng (tournaments ignore p)."""
-    if model == "tournament":
-        forward = rng.random(pair_count(n)) < 0.5
-        return _oriented(n, forward, ~forward)
-    if model == "acyclic":  # vertex order[i] -> order[j] for kept pairs i < j
-        rank = np.argsort(np.argsort(rng.random(n), kind="stable"))
-        return _oriented(n, rng.random(pair_count(n)) < p, False)[np.ix_(rank, rank)]
-    # digon_free is one draw; triangle_free redraws until no transitive triangle
-    for _ in range(max_retries if model == "triangle_free" else 1):
-        present, forward = rng.random(pair_count(n)) < p, rng.random(pair_count(n)) < 0.5
-        adj = _oriented(n, present & forward, present & ~forward)
-        if model == "digon_free" or not _has_transitive_triangle(adj):
-            return adj
-    raise RetriesExhausted(max_retries)
+    """The (B, n, n) bool stack of graphs of a checked model in RANDOM_MODELS
+    (tournaments ignore p), graph b drawn from the generator _seeded sets for
+    entropies[b].  Each draws its pair uniforms, in combination order, a block
+    of rows at a time into one reused buffer and writes them into its own
+    slot of the stack."""
+    adj, upper = np.zeros((len(entropies), n, n), dtype=bool), _upper(n)
+    step, uniforms = _DRAW_PAIRS // n, np.empty(min(pair_count(n), _DRAW_PAIRS))
+
+    def below(rng: np.random.Generator, threshold: float) -> Iterator[tuple]:
+        for u in range(0, n, step):  # step rows hold fewer than step * n pairs
+            size = pair_count(n - u) - pair_count(max(0, n - u - step))
+            rows = slice(u, u + step)  # Generator.random fills in order
+            yield rows, upper[rows], rng.random(out=uniforms[:size]) < threshold
+
+    for a, rng in zip(adj, _seeded(entropies)):
+        if model == "tournament":  # u -> v where forward, else v -> u
+            for rows, mask, forward in below(rng, 0.5):
+                a[rows][mask], a[:, rows].T[mask] = forward, ~forward
+        elif model == "acyclic":  # order[i] -> order[j] for kept pairs i < j
+            order = np.argsort(rng.random(n), kind="stable")
+            for rows, mask, kept in below(rng, p):
+                block = np.zeros(mask.shape, dtype=bool)
+                block[mask] = kept
+                a[np.ix_(order[rows], order)] = block
+        else:  # digon_free is one draw; triangle_free redraws until no transitive triangle
+            for _ in range(max_retries if model == "triangle_free" else 1):
+                for rows, mask, present in below(rng, p):
+                    a[rows][mask] = present
+                for rows, mask, forward in below(rng, 0.5):
+                    present = a[rows][mask]
+                    a[rows][mask], a[:, rows].T[mask] = present & forward, present & ~forward
+                if model == "digon_free" or not _has_transitive_triangle(a):
+                    break
+            else:
+                raise RetriesExhausted(max_retries)
+    return adj
 
 
 def random_graph(
@@ -353,8 +403,8 @@ def random_graph(
     """One graph of a model in RANDOM_MODELS (tournaments ignore p), drawn
     from entropy seed."""
     _check_draw(model, n, p, max_retries, seed)
-    rng = next(_seeded([_entropy_words(seed)]))
-    return Digraph._from_adjacency(_draw_adjacency(model, n, p, rng, max_retries))
+    [adj] = _draw_adjacency(model, n, p, [_entropy_words(seed)], max_retries)
+    return Digraph._from_adjacency(adj)
 
 
 def random_tournament(n: int, seed: SeedLike) -> Digraph:
@@ -492,10 +542,11 @@ def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
         prefixes = _rows_at(spec.n, np.arange(start, stop, _EXHAUSTIVE_CHUNK))
         candidates, rows = _chunk_candidates(spec.n, prefixes)
     else:
-        draw = functools.partial(_draw_adjacency, spec.model, spec.n, spec.p)
         seed = _entropy_words(spec.seed)  # and each index is one word: see MAX_RANDOM_COUNT
-        rngs = _seeded([seed + [i] for i in range(start, stop)])
-        rows = _packed_rows(np.stack([draw(rng, spec.max_retries) for rng in rngs]))
+        entropies = [seed + [i] for i in range(start, stop)]
+        rows = _packed_rows(  # the stack is not held through the verdict
+            _draw_adjacency(spec.model, spec.n, spec.p, entropies, spec.max_retries)
+        )
         candidates = np.flatnonzero(_no_satisfactory_vertex(rows))
         rows = rows[candidates]
     result = _ChunkResult(examined=stop - start)

@@ -211,6 +211,53 @@ class TestPackedRowKernel:
         rows = np.stack([_packed_rows(adj) for adj in (full, sink, via_last)])
         assert _no_satisfactory_vertex(rows).tolist() == [True, False, False]
 
+    @pytest.mark.parametrize("shape, dtype", [((0, 5), np.uint8), ((0, 70, 2), np.uint64)])
+    def test_an_empty_batch_has_an_empty_verdict(self, shape, dtype):
+        verdict = _no_satisfactory_vertex(np.zeros(shape, dtype=dtype))
+        assert (verdict.dtype, verdict.shape) == (np.dtype(bool), (0,))
+
+    # past one byte a row the verdict first screens each graph's least-out-degree
+    # vertex; these graphs all have that vertex unsatisfactory, so only the pass
+    # over every vertex can tell the two answers apart
+    @pytest.mark.parametrize("n", [9, 16, 17, 63, 64, 65, 130])
+    def test_graphs_the_screen_leaves_open_get_the_oracle_verdict(self, n):
+        rng, batch = np.random.default_rng(n), []
+        for a, _ in itertools.product((2, max(2, (n - 1) // 3)), range(3)):
+            # digon cliques on A (a shuffled vertices: out-degree a - 1, N2 empty)
+            # and on the rest R, whose last vertex w may reach only s vertices of
+            # R: every vertex but w is unsatisfactory, and w is iff s <= |R| - 1 - s
+            shuffled = rng.permutation(n)
+            A, R = shuffled[:a], shuffled[a:]
+            for s in (None, a - 1, a):  # none satisfactory; w ties with A; w above it
+                adj = np.zeros((n, n), dtype=bool)
+                adj[np.ix_(A, A)] = adj[np.ix_(R, R)] = True
+                np.fill_diagonal(adj, False)
+                if s is not None:
+                    adj[R[-1]] = False
+                    adj[R[-1], R[:s]] = True
+                batch.append(adj)
+        kept, expected, ties = [], [], 0
+        for adj in batch:
+            edges = edges_of_matrix(adj)
+            least = oracles.min_out_degree_vertex(n, edges)
+            n1, n2 = oracles.profile_sizes(n, edges)[least]
+            if n1 > n2:  # a tie that put w first leaves the screen nothing to miss
+                kept.append(adj)
+                expected.append(not oracles.has_satisfactory_vertex(n, edges))
+                ties += (adj.sum(axis=1) == n1).sum() > 1
+        assert True in expected and False in expected and ties == len(kept)
+        rows = np.stack([_packed_rows(adj) for adj in kept])
+        assert _no_satisfactory_vertex(rows).tolist() == expected
+
+    def test_random_tournaments_are_settled_by_the_screen(self, monkeypatch):
+        passed = []
+        real = search._every_vertex_unsatisfactory
+        monkeypatch.setattr(
+            search, "_every_vertex_unsatisfactory", lambda rows: passed.append(rows) or real(rows)
+        )
+        report = run_search(SearchSpec(mode="random", model="tournament", n=50, count=300, seed=1))
+        assert (report.graphs_examined, report.counterexamples_found, passed) == (300, 0, [])
+
     def test_decode_and_mask_do_not_depend_on_the_split_point(self):
         total = space_size(5)
         whole_rows = _rows_at(5, np.arange(total, dtype=np.int64))
@@ -1020,12 +1067,41 @@ def test_random_graph_dispatches_to_each_model():
 
 
 def test_upper_mask_lists_pairs_in_combinations_order():
-    # _oriented assigns pair k of a draw to the k-th True cell of this mask
+    # _draw_adjacency assigns pair k of a draw to the k-th True cell of this mask
     for n in (1, 2, 5, 9):
         tails, heads = np.nonzero(search._upper(n))
         assert list(zip(tails.tolist(), heads.tolist())) == list(
             itertools.combinations(range(n), 2)
         )
+
+
+@pytest.mark.parametrize("model", search.RANDOM_MODELS)
+@pytest.mark.parametrize("n", [5, 50, 70])
+def test_a_chunk_draws_each_sample_as_random_graph_does(monkeypatch, model, n):
+    # 130 samples span two chunks of 128; triangle_free stays sparse enough to accept
+    p, seed, count = min(0.3, 1.5 / n), 6, 130
+    batches, real = [], search._no_satisfactory_vertex
+    monkeypatch.setattr(
+        search, "_no_satisfactory_vertex", lambda rows: batches.append(rows) or real(rows)
+    )
+    run_search(SearchSpec(mode="random", model=model, n=n, p=p, count=count, seed=seed))
+    assert [len(rows) for rows in batches] == [128, 2]
+    drawn = (search.random_graph(model, n, p, (seed, i))._adjacency() for i in range(count))
+    assert np.array_equal(np.concatenate(batches), np.stack([_packed_rows(adj) for adj in drawn]))
+
+
+@pytest.mark.parametrize("model", ["tournament", "acyclic", "digon_free"])
+def test_a_large_draw_holds_a_bounded_block_of_uniforms(model):
+    search.random_graph(model, 2048, 0.5, 0)  # fills the per-n caches
+    tracemalloc.start()
+    try:
+        search.random_graph(model, 2048, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 4 MiB matrix and a block of 2^16 doubles; drawing all 2,096,128
+    # pairs at once peaked at 18 MiB (20 MiB for digon_free's two arrays)
+    assert peak < 10 * 2**20
 
 
 ENTROPY_INT = st.integers(0, 2**130 - 1)  # up to five words, so tuples reach the mixing loop
@@ -1062,14 +1138,15 @@ def test_seeding_a_batch_matches_seeding_each_row(entropies):
 
 
 def record_draw_states(monkeypatch):
-    """The generator state of each draw, recorded as the draw starts."""
-    calls, real = [], search._draw_adjacency
+    """The generator state of each draw, recorded as its generator is yielded."""
+    calls, real = [], search._seeded
 
-    def recording(model, n, p, rng, max_retries):
-        calls.append(rng.bit_generator.state)
-        return real(model, n, p, rng, max_retries)
+    def recording(entropies):
+        for rng in real(entropies):
+            calls.append(rng.bit_generator.state)
+            yield rng
 
-    monkeypatch.setattr(search, "_draw_adjacency", recording)
+    monkeypatch.setattr(search, "_seeded", recording)
     return calls
 
 
