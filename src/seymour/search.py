@@ -13,14 +13,14 @@ under all 3^10 graphs on the last five, whose rows are tabled once per n.  The
 task decodes and gates its prefixes together.  A digon-free prefix needs each
 suffix vertex to reach out-degree 2 in those five; the suffix graphs that do
 are cached per vector of needs (3^5 of them), and only they, ORed with their
-prefix, reach the task's one verdict.  A random chunk is drawn into one
-preallocated stack, each sample into its own slot, its uniforms a bounded
-block of rows at a time into one reused buffer, and packed once.  Past one
-byte a row the verdict first screens each graph's least-out-degree vertex:
-one satisfactory vertex settles a graph, every tournament has one (Fisher
-1996), and in random draws that vertex has settled every graph tried, so the
-pass over every vertex sees only what the screen leaves open.  Only the
-(expected zero) graphs without one become Digraphs.
+prefix, reach the task's one verdict.  Each sample of a random chunk compares
+its uniforms, a bounded block at a time in one reused buffer, into its own row
+of pair bits; one pass over the vertices places the chunk's rows into one
+stack, packed once.  Past one byte a row the verdict first screens each
+graph's least-out-degree vertex: one satisfactory vertex settles a graph,
+every tournament has one (Fisher 1996), and in random draws that vertex has
+settled every graph tried, so the pass over every vertex sees only what the
+screen leaves open.  Only the (expected zero) graphs without one become Digraphs.
 
 Randomness is implementation-pinned: sample i draws from numpy's
 Generator(PCG64(SeedSequence((seed, i)))), so serial and parallel runs agree.
@@ -343,11 +343,13 @@ def _check_draw(
     _entropy_words(seed)  # raises on a negative seed
 
 
-@functools.cache
-def _upper(n: int) -> np.ndarray:
-    """The (n, n) bool mask of u < v: its True cells in row-major order are the
-    pairs of itertools.combinations(range(n), 2)."""
-    return _frozen(~np.tri(n, dtype=bool))[0]
+def _place(adj: np.ndarray, bits: np.ndarray) -> None:
+    """Write (B, n(n-1)/2) pair bits into a (B, n, n) stack, bit k at the k-th pair (u, v)
+    of itertools.combinations(range(n), 2), one slice per u; reverses via adj.swapaxes(1, 2)."""
+    n, stop = adj.shape[1], 0
+    for u in range(n - 1):
+        start, stop = stop, stop + n - 1 - u
+        adj[:, u, u + 1 :] = bits[:, start:stop]
 
 
 def _has_transitive_triangle(adj: np.ndarray) -> bool:
@@ -359,41 +361,43 @@ def _has_transitive_triangle(adj: np.ndarray) -> bool:
 def _draw_adjacency(
     model: str, n: int, p: float | None, entropies: list[list[int]], max_retries: int
 ) -> np.ndarray:
-    """The (B, n, n) bool stack of graphs of a checked model in RANDOM_MODELS
-    (tournaments ignore p), graph b drawn from the generator _seeded sets for
-    entropies[b].  Each draws its pair uniforms, in combination order, a block
-    of rows at a time into one reused buffer and writes them into its own
-    slot of the stack."""
-    adj, upper = np.zeros((len(entropies), n, n), dtype=bool), _upper(n)
-    step, uniforms = _DRAW_PAIRS // n, np.empty(min(pair_count(n), _DRAW_PAIRS))
+    """The (B, n, n) bool stack of graphs of a checked model in RANDOM_MODELS (tournaments
+    ignore p), graph b from the generator _seeded sets for entropies[b]: it compares its pair
+    uniforms, a block at a time in one reused buffer, into its own rows of bits for _place."""
+    pairs, uniforms = pair_count(n), np.empty(min(pair_count(n), _DRAW_PAIRS))
+    starts = range(0, pairs, _DRAW_PAIRS)  # Generator.random fills in order
+    blocks = [(slice(i, i + _DRAW_PAIRS), uniforms[: pairs - i]) for i in starts]
+    thresholds = {"tournament": [0.5], "acyclic": [p]}.get(model, [p, 0.5])  # present, forward
+    bits = np.empty((len(thresholds), len(entropies), pairs), dtype=bool)
+    adj, orders = np.zeros((len(entropies), n, n), dtype=bool), np.empty((len(entropies), n), int)
 
-    def below(rng: np.random.Generator, threshold: float) -> Iterator[tuple]:
-        for u in range(0, n, step):  # step rows hold fewer than step * n pairs
-            size = pair_count(n - u) - pair_count(max(0, n - u - step))
-            rows = slice(u, u + step)  # Generator.random fills in order
-            yield rows, upper[rows], rng.random(out=uniforms[:size]) < threshold
+    def orient(rows: slice) -> np.ndarray:  # u -> v if present and forward, v -> u if only present
+        a, (present, forward) = adj[rows], bits[:, rows]
+        _place(a, np.logical_and(forward, present, out=forward))
+        _place(a.swapaxes(1, 2), np.logical_xor(present, forward, out=present))
+        return a
 
-    for a, rng in zip(adj, _seeded(entropies)):
-        if model == "tournament":  # u -> v where forward, else v -> u
-            for rows, mask, forward in below(rng, 0.5):
-                a[rows][mask], a[:, rows].T[mask] = forward, ~forward
-        elif model == "acyclic":  # order[i] -> order[j] for kept pairs i < j
-            order = np.argsort(rng.random(n), kind="stable")
-            for rows, mask, kept in below(rng, p):
-                block = np.zeros(mask.shape, dtype=bool)
-                block[mask] = kept
-                a[np.ix_(order[rows], order)] = block
-        else:  # digon_free is one draw; triangle_free redraws until no transitive triangle
-            for _ in range(max_retries if model == "triangle_free" else 1):
-                for rows, mask, present in below(rng, p):
-                    a[rows][mask] = present
-                for rows, mask, forward in below(rng, 0.5):
-                    present = a[rows][mask]
-                    a[rows][mask], a[:, rows].T[mask] = present & forward, present & ~forward
-                if model == "digon_free" or not _has_transitive_triangle(a):
-                    break
-            else:
-                raise RetriesExhausted(max_retries)
+    for i, rng in enumerate(_seeded(entropies)):
+        if model == "acyclic":  # order[i] -> order[j] for kept pairs i < j
+            orders[i] = np.argsort(rng.random(n), kind="stable")
+        for _ in range(max_retries if model == "triangle_free" else 1):  # until triangle-free
+            for k, threshold in enumerate(thresholds):
+                for cut, block in blocks:
+                    np.less(rng.random(out=block), threshold, out=bits[k, i, cut])
+            if model != "triangle_free" or not _has_transitive_triangle(orient(slice(i, i + 1))[0]):
+                break
+        else:
+            raise RetriesExhausted(max_retries)
+    if model == "tournament":  # u -> v where forward, else v -> u
+        _place(adj, bits[0])
+        _place(adj.swapaxes(1, 2), np.logical_not(bits[0], out=bits[0]))
+    elif model == "acyclic":
+        _place(adj, bits[0])
+        del bits  # not held through the relabelling
+        for a, place in zip(adj, orders.argsort(axis=1)):  # place[v]: v's place in order
+            np.take(a.take(place, axis=0), place, axis=1, out=a, mode="wrap")  # "raise" buffers out
+    elif model == "digon_free":  # triangle_free placed each sample as it tested it
+        orient(slice(None))
     return adj
 
 

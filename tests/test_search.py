@@ -1066,42 +1066,55 @@ def test_random_graph_dispatches_to_each_model():
         search.random_graph("regular", 6, 0.4, 2)
 
 
-def test_upper_mask_lists_pairs_in_combinations_order():
-    # _draw_adjacency assigns pair k of a draw to the k-th True cell of this mask
+def test_place_writes_pair_k_to_the_kth_combination():
+    # _draw_adjacency compares pair k of a draw into bit k of a row, in this order
     for n in (1, 2, 5, 9):
-        tails, heads = np.nonzero(search._upper(n))
-        assert list(zip(tails.tolist(), heads.tolist())) == list(
-            itertools.combinations(range(n), 2)
-        )
+        pairs = list(itertools.combinations(range(n), 2))
+        bits = np.random.default_rng(n).random((3, len(pairs))) < 0.5
+        adj = np.zeros((3, n, n), dtype=bool)
+        search._place(adj, bits)
+        search._place(adj.swapaxes(1, 2), ~bits)
+        want = np.zeros_like(adj)
+        for k, (u, v) in enumerate(pairs):
+            want[:, u, v], want[:, v, u] = bits[:, k], ~bits[:, k]
+        assert np.array_equal(adj, want)
 
 
 @pytest.mark.parametrize("model", search.RANDOM_MODELS)
-@pytest.mark.parametrize("n", [5, 50, 70])
+@pytest.mark.parametrize("n", [2, 5, 50, 70, 400])
 def test_a_chunk_draws_each_sample_as_random_graph_does(monkeypatch, model, n):
-    # 130 samples span two chunks of 128; triangle_free stays sparse enough to accept
-    p, seed, count = min(0.3, 1.5 / n), 6, 130
+    # the samples span two chunks of 128, or at n=400 of 26, where each sample's
+    # 79,800 pairs span two blocks of 2^16 uniforms; n=2 draws one pair a sample.
+    # triangle_free stays sparse enough to accept
+    p, seed = min(0.3, 1.5 / n), 6
+    count, chunks = (27, [26, 1]) if n == 400 else (130, [128, 2])
     batches, real = [], search._no_satisfactory_vertex
     monkeypatch.setattr(
         search, "_no_satisfactory_vertex", lambda rows: batches.append(rows) or real(rows)
     )
     run_search(SearchSpec(mode="random", model=model, n=n, p=p, count=count, seed=seed))
-    assert [len(rows) for rows in batches] == [128, 2]
+    assert [len(rows) for rows in batches] == chunks
     drawn = (search.random_graph(model, n, p, (seed, i))._adjacency() for i in range(count))
     assert np.array_equal(np.concatenate(batches), np.stack([_packed_rows(adj) for adj in drawn]))
 
 
 @pytest.mark.parametrize("model", ["tournament", "acyclic", "digon_free"])
 def test_a_large_draw_holds_a_bounded_block_of_uniforms(model):
-    search.random_graph(model, 2048, 0.5, 0)  # fills the per-n caches
+    search.random_graph(model, 5, 0.5, 0)  # first-call allocations; a per-n cache would stay
     tracemalloc.start()
     try:
-        search.random_graph(model, 2048, 0.5, 1)
+        graph = search.random_graph(model, 2048, 0.5, 1)
         peak = tracemalloc.get_traced_memory()[1]
+        del graph
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # the 4 MiB matrix and a block of 2^16 doubles; drawing all 2,096,128
-    # pairs at once peaked at 18 MiB (20 MiB for digon_free's two arrays)
+    # the 4 MiB matrix, a block of 2^16 doubles and 2 MiB of pair bits (4 MiB for
+    # digon_free's two rows; acyclic frees its bits before copying a slot to
+    # relabel it); drawing all 2,096,128 pairs at once peaked at 18 MiB (20 MiB
+    # for digon_free's two arrays)
     assert peak < 10 * 2**20
+    assert held < 64 * 2**10  # an (n, n) cache per n would hold 4 MiB
 
 
 ENTROPY_INT = st.integers(0, 2**130 - 1)  # up to five words, so tuples reach the mixing loop
