@@ -117,11 +117,6 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
 #: times the columns its 2-walks reach, and a chunk of heads times the same.
 _BLOCK_CELLS = 1 << 15
 
-#: A block's fixed cost, and the cost of unpacking one cell of a head row, in
-#: multiply-adds of its products (set by timing blocks on a 2-core Xeon with
-#: OpenBLAS).  They only decide where blocks end; no report depends on them.
-_BLOCK_OVERHEAD, _UNPACK_COST = 1 << 18, 8
-
 #: condition -> its first failing edge (u, v)
 _Found = dict[int, Edge]
 
@@ -159,9 +154,8 @@ def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]
     >= 2.  Then [A; W2; A | W2] @ B.T holds, for each edge (u,v) out of U,
     its triangle bases |N1(u) ∩ N1(v)|, its diamond apexes |N1(v) ∩ W2[u]|
     and condition 3's cover |N1(v) ∩ (N1(u) ∪ W2[u])|.  The products are
-    exact: every count is at most one out-degree.  A block's cost is about
-    4 * |U| * |H| * |C| multiply-adds.  It grows while that cost per tail
-    falls (_next_block) and |U| * |C| is at most _BLOCK_CELLS, and H goes in
+    exact: every count is at most one out-degree.  A block is the longest run
+    of tails with |U| * |C| at most _BLOCK_CELLS (_next_block), and H goes in
     chunks of as many cells, so the pass holds a few _BLOCK_CELLS floats.
     Without ``edges``, and after the first failures of 3, 4 and 5, a block
     makes only the 2-walk product."""
@@ -178,10 +172,9 @@ def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]
 
 
 def _next_block(g: Digraph, start: int) -> tuple[range, int, int]:
-    """The run U of tails from ``start``, with the masks of its H and C, that
-    grows while its modelled cost per tail falls and |U| * |C| is at most
-    _BLOCK_CELLS: one tail at least."""
-    out, stop, heads, cols, cost = g._out, start, 0, 0, float("inf")
+    """The longest run U of tails from ``start`` with |U| * |C| at most
+    _BLOCK_CELLS, one tail at least, and the masks of its H and C."""
+    out, stop, heads, cols = g._out, start, 0, 0
     while stop < g.n:
         row = out[stop]
         grown, new = cols | row, row & ~heads
@@ -189,12 +182,9 @@ def _next_block(g: Digraph, start: int) -> tuple[range, int, int]:
             low = new & -new
             grown |= out[low.bit_length() - 1]
             new ^= low
-        size, width = stop + 1 - start, grown.bit_count()
-        unpacked = (heads | row).bit_count() * width
-        per_tail = (_BLOCK_OVERHEAD + unpacked * (_UNPACK_COST + size)) / size
-        if stop > start and (size * width > _BLOCK_CELLS or per_tail > cost):
+        if stop > start and (stop + 1 - start) * grown.bit_count() > _BLOCK_CELLS:
             break
-        heads, cols, stop, cost = heads | row, grown, stop + 1, per_tail
+        heads, cols, stop = heads | row, grown, stop + 1
     return range(start, stop), heads, cols
 
 

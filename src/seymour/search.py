@@ -64,6 +64,7 @@ _VERDICT_ROWS = 2**15  # most graphs per verdict pass, so that its arrays stay i
 _POOL_BATCH = 64  # most chunks sent to a worker at once
 _ROW_WIDTH = 8  # vertices a uint8 out-row can hold
 _DRAW_PAIRS = 2**16  # most pair uniforms a draw holds at once: 512 KiB of doubles
+_TRIANGLE_BYTES = 2**15  # adjacency cells the triangle test scans, and row bytes it gathers, at once
 _GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
@@ -353,9 +354,17 @@ def _place(adj: np.ndarray, bits: np.ndarray) -> None:
 
 
 def _has_transitive_triangle(adj: np.ndarray) -> bool:
-    """Some u -> v -> w has u -> w; tests check it against ``oracles.has_transitive_triangle``."""
-    a = adj.astype(np.float32)  # BLAS; sums of 0/1 products cannot cancel to 0
-    return bool((a @ a)[adj].any())
+    """Some edge u -> v has a common out-neighbour w of u and v: the packed rows of its two
+    ends meet.  The edges come a block of tail rows at a time and their rows a chunk at a
+    time; tests check it against ``oracles.has_transitive_triangle``."""
+    n, rows = len(adj), np.packbits(adj, axis=1)
+    step, block = max(1, _TRIANGLE_BYTES // rows.shape[1]), max(1, _TRIANGLE_BYTES // n)
+    for start in range(0, n, block):
+        tails, heads = np.nonzero(adj[start : start + block])
+        for i in range(0, len(tails), step):
+            if (rows[start + tails[i : i + step]] & rows[heads[i : i + step]]).any():
+                return True
+    return False
 
 
 def _draw_adjacency(

@@ -1,0 +1,164 @@
+"""Mutation check: each planted fault below must fail its test selection.
+
+Run from the root of a checkout:
+
+    python tests/mutants.py
+
+The script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory and checks that each mutant's old text occurs exactly once in its
+file.  It runs each distinct selection on the unmutated copy and requires a
+pass, then applies one mutant at a time, runs its selection with ``-x -q``
+and requires a failure (pytest's exit status 1: an import or collection
+error does not count).  It exits nonzero, naming every mutant that broke a
+rule.  A mutant costs its whole selection only when it survives.
+
+Any change may add a mutant.  Removing one, or narrowing its selection,
+needs a CHANGES.md line that says why.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the checkout
+    old: str  # must occur exactly once in the file
+    new: str
+    selection: tuple[str, ...]  # pytest arguments: node ids, -k expressions
+
+
+MUTANTS = (
+    Mutant(
+        "verdict n1 <= n2 -> n1 < n2",
+        "src/seymour/search.py",
+        "return ~(n1 <= n2).any(axis=0)",
+        "return ~(n1 < n2).any(axis=0)",
+        ("tests/test_search.py::TestVectorizedConditionZero",),
+    ),
+    Mutant(
+        "a verdict that always answers none",
+        "src/seymour/search.py",
+        "return ~(n1 <= n2).any(axis=0)",
+        "return np.zeros(n1.shape[1], dtype=bool)",
+        ("tests/test_search.py::TestPackedRowKernel",),  # real small graphs never tell
+    ),
+    Mutant(
+        "the degree gate and its need off by one",
+        "src/seymour/search.py",
+        "(degrees[:, :f] <= 1).any(axis=1)  # a vertex of F decides it\n"
+        "    need = np.where(digon[:, None], 0, np.maximum(0, 2 - degrees[:, f:])).tolist()",
+        "(degrees[:, :f] <= 0).any(axis=1)  # a vertex of F decides it\n"
+        "    need = np.where(digon[:, None], 0, np.maximum(0, 1 - degrees[:, f:])).tolist()",
+        ("tests/test_search.py", "-k", "test_kept_columns_match_the_oracle_on_whole_small_spaces"),
+    ),
+    Mutant(
+        "condition 5's two witness counts swapped",
+        "src/seymour/filtering.py",
+        '"triangle_bases": triangle_base_count(g, (u, v)),\n'
+        '            "diamond_apexes": len(diamond_base_targets(g, (u, v))),',
+        '"triangle_bases": len(diamond_base_targets(g, (u, v))),\n'
+        '            "diamond_apexes": triangle_base_count(g, (u, v)),',
+        ("tests/test_filtering.py::test_planted_positives_match_witness_oracles",),
+    ),
+    Mutant(
+        "anti-satisfaction counting N1 in W1 - N1",
+        "src/seymour/filtering.py",
+        "np.add.reduce(walks > g.n * rows, axis=1)",
+        "np.add.reduce(walks > 0, axis=1)",
+        ("tests/test_filtering.py::TestFacts",),
+    ),
+    Mutant(
+        "the edge reader's ends[1:] for ends[:-1]",
+        "src/seymour/digraph.py",
+        "8 * np.array(ends[:-1], dtype=np.int64)",
+        "8 * np.array(ends[1:], dtype=np.int64)",
+        ("tests/test_digraph.py::TestConstruction::test_cycle",),
+    ),
+    Mutant(
+        "the connectivity witness min -> max",
+        "src/seymour/filtering.py",
+        '"target": min(set(range(g.n)) - reach)',
+        '"target": max(set(range(g.n)) - reach)',
+        ("tests/test_filtering.py::test_connectivity_witness_is_the_first_unreachable_pair",),
+    ),
+    Mutant(
+        "the block pass's C without U's heads",
+        "src/seymour/filtering.py",
+        "grown, new = cols | row, row & ~heads",
+        "grown, new = cols, row & ~heads",
+        ("tests/test_filtering.py::TestFacts",),
+    ),
+    Mutant(
+        "every block is one tail",
+        "src/seymour/filtering.py",
+        "if stop > start and (stop + 1 - start) * grown.bit_count() > _BLOCK_CELLS:",
+        "if stop > start:",
+        ("tests/test_filtering.py::test_a_graph_within_the_cell_bound_is_one_block",),
+    ),
+    Mutant(
+        "the triangle test's tail rows without their block's offset",
+        "src/seymour/search.py",
+        "rows[start + tails[i : i + step]]",
+        "rows[tails[i : i + step]]",
+        ("tests/test_search.py::test_matrix_triangle_test_matches_the_oracle",),
+    ),
+)
+
+
+def run_pytest(root: Path, selection: tuple[str, ...]) -> int:
+    """pytest's exit status for one selection, run with -x -q in root."""
+    # no bytecode: a restored file can keep the size and mtime second of its mutant
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    return subprocess.run(command, cwd=root, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    errors = []
+    with tempfile.TemporaryDirectory(prefix="seymour-mutants-") as tmp:
+        root = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", root)
+        for mutant in MUTANTS:
+            count = (root / mutant.path).read_text().count(mutant.old)
+            if count != 1:
+                errors.append(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+        for selection in dict.fromkeys(m.selection for m in MUTANTS):
+            status = run_pytest(root, selection)
+            print(f"unmutated {' '.join(selection)}: exit {status}", flush=True)
+            if status != 0:
+                errors.append(f"{' '.join(selection)} fails unmutated (exit {status})")
+        if errors:  # a mutant's failure would mean nothing
+            print("\n".join(errors), file=sys.stderr)
+            return 1
+        for mutant in MUTANTS:
+            path = root / mutant.path
+            text = path.read_text()
+            path.write_text(text.replace(mutant.old, mutant.new))
+            start = time.perf_counter()
+            status = run_pytest(root, mutant.selection)
+            path.write_text(text)
+            verdict = "killed" if status == 1 else "SURVIVED" if status == 0 else "ERROR"
+            print(f"{verdict} {mutant.name}: exit {status}, {time.perf_counter() - start:.1f} s")
+            if status != 1:
+                errors.append(f"{mutant.name}: exit {status}, expected 1 (a failed test)")
+    if errors:
+        print("\n".join(errors), file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -280,6 +280,45 @@ def test_small_blocks_agree_on_graphs_past_a_word(n, p, seed):
     _small_blocks_agree(random_graph("digon_free", n, p, seed))
 
 
+@pytest.mark.parametrize("d", [13, 21], ids=["T13xC5", "T21xC5"])
+def test_a_graph_within_the_cell_bound_is_one_block(d):
+    product, _ = build_product(_regular_tournament(d), _cycle(5))
+    assert product.n * product.n <= filtering._BLOCK_CELLS
+    assert filtering._next_block(product, 0)[0].stop == product.n
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(65, 96),
+    st.sampled_from([0.02, 0.1, 0.3]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10_000),
+)
+def test_every_block_but_the_last_is_maximal(n, p, seed, cells):
+    # H and C recomputed from sets: each block keeps |U| * |C| within the
+    # bound (or is one tail), and one more tail would break it
+    g = random_graph("digon_free", n, p, seed)
+    out, _ = oracles.adjacency(g.n, g.edges)
+
+    def shape(tails):
+        heads = set().union(*(out[u] for u in tails))
+        return heads, heads.union(*(out[h] for h in heads))
+
+    start = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filtering, "_BLOCK_CELLS", cells)
+        while start < g.n:
+            tails, heads, cols = filtering._next_block(g, start)
+            assert tails.start == start < tails.stop
+            H, C = shape(tails)
+            assert (list(_bits(heads)), list(_bits(cols))) == (sorted(H), sorted(C))
+            assert len(tails) == 1 or len(tails) * len(C) <= cells
+            if tails.stop < g.n:
+                grown = shape(range(start, tails.stop + 1))[1]
+                assert (len(tails) + 1) * len(grown) > cells
+            start = tails.stop
+
+
 @pytest.mark.parametrize("short_circuit", [True, False])
 @pytest.mark.parametrize(
     "g",
@@ -436,3 +475,16 @@ def test_block_pass_holds_a_few_blocks_of_floats():
     # a 513-vertex tournament: one (n, n) float matrix is 2 MiB
     g = _regular_tournament(513)
     assert _peak(lambda: filtering._Facts(g).edges) < 6 * 8 * filtering._BLOCK_CELLS
+    # the circulant C(4096; 1..7) is banded: a block of |U| tails has |U| + 6
+    # heads and |U| + 13 columns, so |U| is close to |C| (174 tails on 187
+    # columns) and the counts, (3|U| + 1) x |H chunk|, are as large as the
+    # stack, (3|U| + 1) x |C|, rather than a small part of it as on the
+    # tournament.  Its bound is those two, B (|H chunk| x |C|) and four
+    # |U| x |H chunk| temporaries of the failure tests, in floats
+    n = 4096
+    g = Digraph(n, [(i, (i + s) % n) for i in range(n) for s in range(1, 8)])
+    size = max(k for k in range(1, n) if k * (k + 13) <= filtering._BLOCK_CELLS)
+    width = size + 13
+    chunk = min(size + 6, filtering._BLOCK_CELLS // width)
+    cells = (3 * size + 1) * (width + chunk) + chunk * width + 4 * size * chunk
+    assert _peak(lambda: filtering._Facts(g).edges) < 8 * cells

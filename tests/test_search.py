@@ -1098,21 +1098,26 @@ def test_a_chunk_draws_each_sample_as_random_graph_does(monkeypatch, model, n):
     assert np.array_equal(np.concatenate(batches), np.stack([_packed_rows(adj) for adj in drawn]))
 
 
-@pytest.mark.parametrize("model", ["tournament", "acyclic", "digon_free"])
-def test_a_large_draw_holds_a_bounded_block_of_uniforms(model):
+@pytest.mark.parametrize(
+    "model, p",
+    [("tournament", 0.5), ("acyclic", 0.5), ("digon_free", 0.5), ("triangle_free", 0.0005)],
+    ids=["tournament", "acyclic", "digon_free", "triangle_free"],
+)
+def test_a_large_draw_holds_a_bounded_block_of_uniforms(model, p):
     search.random_graph(model, 5, 0.5, 0)  # first-call allocations; a per-n cache would stay
     tracemalloc.start()
     try:
-        graph = search.random_graph(model, 2048, 0.5, 1)
+        graph = search.random_graph(model, 2048, p, 1)
         peak = tracemalloc.get_traced_memory()[1]
         del graph
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     # the 4 MiB matrix, a block of 2^16 doubles and 2 MiB of pair bits (4 MiB for
-    # digon_free's two rows; acyclic frees its bits before copying a slot to
-    # relabel it); drawing all 2,096,128 pairs at once peaked at 18 MiB (20 MiB
-    # for digon_free's two arrays)
+    # digon_free's and triangle_free's two rows; acyclic frees its bits before
+    # copying a slot to relabel it); drawing all 2,096,128 pairs at once peaked
+    # at 18 MiB (20 MiB for digon_free's two arrays), and testing each
+    # triangle_free sample with a float32 matrix product at 40.5 MiB
     assert peak < 10 * 2**20
     assert held < 64 * 2**10  # an (n, n) cache per n would hold 4 MiB
 
@@ -1173,8 +1178,13 @@ def test_random_mode_looks_models_up_at_call_time(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(digon_free_adjacency())
 def test_matrix_triangle_test_matches_the_oracle(adj):
+    # also with blocks of one tail row and chunks of one edge, and with a few of each
     g = Digraph._from_adjacency(adj)
-    assert search._has_transitive_triangle(adj) == oracles.has_transitive_triangle(g.n, g.edges)
+    expected = oracles.has_transitive_triangle(g.n, g.edges)
+    for size in (search._TRIANGLE_BYTES, 1, 50):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_TRIANGLE_BYTES", size)
+            assert search._has_transitive_triangle(adj) == expected, f"{size} bytes"
 
 
 def plant_candidate(monkeypatch, model, n, p, seed, k):
