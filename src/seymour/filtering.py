@@ -90,27 +90,20 @@ class FilterReport:
         return asdict(self)
 
 
-def _missing(g: Digraph, edge: Edge, walks: tuple[int, int]) -> int:
-    """{v} ∪ N1(v) minus what u reaches avoiding ``edge`` = (u,v), given u's two-walk masks.
-
-    A 2-walk u -> a -> w uses (u,v) iff a = v, so w in N1(v) is reached iff at
-    least two 2-walks end there, and v (never its own midpoint) iff one does."""
-    u, v = edge
-    once, twice = walks
-    bit = 1 << v
-    return (g._out[v] | bit) & ~((g._out[u] & ~bit) | twice | (once & bit))
-
-
 def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
     """Split {v} ∪ N1(v) by reachability from u without traversing (u,v).
 
     Walks of length 1 or 2 are allowed; only the edge (u,v) itself is
-    barred, intermediate vertices are unrestricted.  Returns
+    barred, intermediate vertices are unrestricted.  A 2-walk u -> a -> w uses
+    (u,v) iff a = v, so w in N1(v) is reached iff at least two 2-walks end
+    there, and v (never its own midpoint) iff one does.  Returns
     (covered, missing); the two sets partition {v} ∪ N1(v).
     """
     u, v = g._require_edge(edge)
-    missing = _missing(g, (u, v), _two_walks(g._out, u))
-    return set(_bits((g._out[v] | 1 << v) & ~missing)), set(_bits(missing))
+    (once, twice), bit = _two_walks(g._out, u), 1 << v
+    targets = g._out[v] | bit
+    missing = targets & ~((g._out[u] & ~bit) | twice | (once & bit))
+    return set(_bits(targets & ~missing)), set(_bits(missing))
 
 
 #: Cells of the float operands the block pass holds at once: a block of tails

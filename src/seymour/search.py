@@ -24,9 +24,9 @@ screen leaves open.  Only the (expected zero) graphs without one become Digraphs
 
 Randomness is implementation-pinned: sample i draws from numpy's
 Generator(PCG64(SeedSequence((seed, i)))), so serial and parallel runs agree.
-Those states are computed, not constructed: SeedSequence's hash and PCG64's
-seeding are fixed integer arithmetic, run over a whole chunk's entropy words
-at once, and each sample sets its state on one reused generator.
+SeedSequence's hash is fixed integer arithmetic, run over a whole chunk's
+entropy words at once; numpy's own PCG64 seeds each sample from its row of
+the result, and each sample gets a Generator of its own.
 """
 from __future__ import annotations
 
@@ -66,8 +66,7 @@ _ROW_WIDTH = 8  # vertices a uint8 out-row can hold
 _DRAW_PAIRS = 2**16  # most pair uniforms a draw holds at once: 512 KiB of doubles
 _TRIANGLE_BYTES = 2**15  # adjacency cells the triangle test scans, and row bytes it gathers, at once
 _GROUP_DIGITS = 5  # base-3 digits per lookup table: 3^5 = 243 rows
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK32 = 2**32 - 1
 
 SeedLike = int | tuple[int, ...]
 
@@ -302,10 +301,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed ^ mixed >> np.uint32(16)
 
 
+@dataclass(frozen=True)
+class _Seed:
+    """numpy's ISeedSequence over a row of SeedSequence.generate_state(4, np.uint64)."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype: type = np.uint64) -> np.ndarray:
+        return self.words
+
+
 def _seeded(entropies: list[list[int]]) -> Iterator[np.random.Generator]:
-    """One Generator, set in turn to the state of numpy's
-    Generator(PCG64(SeedSequence(e))) for the entropy words e of each row of
-    a rectangular list: the SeedSequence hash runs over all rows at once."""
+    """numpy's Generator(PCG64(SeedSequence(e))) for the entropy words e of each
+    row of a rectangular list: the SeedSequence hash runs over all rows at once."""
+    from numpy.random.bit_generator import ISeedSequence  # loads numpy.random: not at import
+    ISeedSequence.register(_Seed)
     words = np.array(entropies, dtype=np.uint32)
     rows, size = words.shape
     hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # mix_entropy into a pool of 4 words
@@ -317,14 +327,8 @@ def _seeded(entropies: list[list[int]]) -> Iterator[np.random.Generator]:
             pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
     hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)  # generate_state(4, np.uint64)
     seeds = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8")
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for init_hi, init_lo, seq_hi, seq_lo in seeds.tolist():  # PCG64's srandom
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (init_hi << 64 | init_lo)) * _PCG_MULT + inc) & _MASK128
-        pcg = {"state": state, "inc": inc}
-        bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-        yield rng
+    for words in seeds.astype(np.uint64):  # native order: PCG64 reads the words' memory
+        yield np.random.Generator(np.random.PCG64(_Seed(words)))
 
 
 def _check_draw(
@@ -371,7 +375,7 @@ def _draw_adjacency(
     model: str, n: int, p: float | None, entropies: list[list[int]], max_retries: int
 ) -> np.ndarray:
     """The (B, n, n) bool stack of graphs of a checked model in RANDOM_MODELS (tournaments
-    ignore p), graph b from the generator _seeded sets for entropies[b]: it compares its pair
+    ignore p), graph b from the generator _seeded gives for entropies[b]: it compares its pair
     uniforms, a block at a time in one reused buffer, into its own rows of bits for _place."""
     pairs, uniforms = pair_count(n), np.empty(min(pair_count(n), _DRAW_PAIRS))
     starts = range(0, pairs, _DRAW_PAIRS)  # Generator.random fills in order

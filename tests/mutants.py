@@ -112,6 +112,20 @@ MUTANTS = (
         "rows[tails[i : i + step]]",
         ("tests/test_search.py::test_matrix_triangle_test_matches_the_oracle",),
     ),
+    Mutant(
+        "PCG64 seeded from the words reversed",
+        "src/seymour/search.py",
+        "np.random.PCG64(_Seed(words))",
+        "np.random.PCG64(_Seed(words[::-1].copy()))",
+        ("tests/test_search.py::test_seeding_matches_numpy",),
+    ),
+    Mutant(
+        "condition 3's shortfall without the two-walk mask",
+        "src/seymour/filtering.py",
+        "(g._out[u] & ~bit) | twice | (once & bit)",
+        "(g._out[u] & ~bit) | (once & bit)",
+        ("tests/test_filtering.py::TestAvoidingReach",),
+    ),
 )
 
 

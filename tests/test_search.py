@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1150,9 +1154,18 @@ def test_seeding_matches_numpy(entropy):
     )
 )
 def test_seeding_a_batch_matches_seeding_each_row(entropies):
-    # ints below 2^32 are one word each, so each tuple is its own word list
-    states = [rng.bit_generator.state for rng in search._seeded([list(e) for e in entropies])]
+    # ints below 2^32 are one word each, so each tuple is its own word list; the
+    # generators are all collected first, so each row's must be a generator of its own
+    rngs = list(search._seeded([list(e) for e in entropies]))
+    states = [rng.bit_generator.state for rng in rngs]
     assert states == [np.random.PCG64(np.random.SeedSequence(e)).state for e in entropies]
+
+
+def test_importing_seymour_leaves_numpy_random_unloaded():
+    # _seeded registers its seed class with numpy.random on the first draw, not at import
+    code = "import sys, seymour; sys.exit('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def record_draw_states(monkeypatch):
