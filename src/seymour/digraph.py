@@ -111,9 +111,10 @@ def _checked_parts(
 def _rows(n: int, stride: int, keys: np.ndarray) -> Rows:
     """Row r as an int with bit c set for each r*stride + c of the sorted keys,
     OR-ing the keys' bits per (row, 64-bit word) group, never an (n, n) matrix."""
-    groups, starts = np.unique(keys >> 6, return_index=True)  # row * stride / 64 + word
+    groups = keys >> 6  # row * stride / 64 + word, sorted
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
     bits = np.left_shift(np.uint64(1), (keys & 63).astype(np.uint64))
-    row, word = np.divmod(groups, stride // 64)
+    row, word = np.divmod(groups[starts], stride // 64)
     words = np.bitwise_or.reduceat(bits, starts)
     rows = [0] * n
     for r, shift, value in zip(row.tolist(), (64 * word).tolist(), words.tolist()):

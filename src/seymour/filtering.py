@@ -23,9 +23,9 @@ Evaluation order is fixed (cheap per-vertex scans first, per-edge path
 checks last) so reports are reproducible.
 
 The checks share per-graph facts (_Facts): anti-satisfaction, and the first
-failing edge of conditions 3-5.  One pass of exact float64 matrix products
-over blocks of tails gives them (_block_pass), in memory bounded by
-_BLOCK_CELLS whatever the graph.
+failing edge of conditions 3-5.  One pass of exact float32 matrix products
+(float64 from 2^24 vertices, _float) over blocks of tails gives them
+(_block_pass), in memory bounded by _BLOCK_CELLS whatever the graph.
 """
 from __future__ import annotations
 
@@ -110,6 +110,12 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
 #: times the columns its 2-walks reach, and a chunk of heads times the same.
 _BLOCK_CELLS = 1 << 15
 
+def _float(n: int) -> type:
+    """The block pass's float type on n vertices: float32 holds every integer
+    below 2^24 exactly, and every count is at most one out-degree, below n."""
+    return np.float32 if n < 1 << 24 else np.float64
+
+
 #: condition -> its first failing edge (u, v)
 _Found = dict[int, Edge]
 
@@ -139,19 +145,19 @@ class _Facts:
 
 
 def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]]:
-    """Anti-satisfaction and the edge facts of _Facts from float64 block products.
+    """Anti-satisfaction and the edge facts of _Facts from exact block products.
 
     The tails go in consecutive blocks U.  With H the heads of U's edges, C
     the columns H plus H's heads, A the out-rows of U and B those of H, both
     on C, the 2-walk counts of U are A[:, H] @ B: W1 is count >= 1, W2 count
     >= 2.  Then [A; W2; A | W2] @ B.T holds, for each edge (u,v) out of U,
     its triangle bases |N1(u) ∩ N1(v)|, its diamond apexes |N1(v) ∩ W2[u]|
-    and condition 3's cover |N1(v) ∩ (N1(u) ∪ W2[u])|.  The products are
-    exact: every count is at most one out-degree.  A block is the longest run
-    of tails with |U| * |C| at most _BLOCK_CELLS (_next_block), and H goes in
-    chunks of as many cells, so the pass holds a few _BLOCK_CELLS floats.
-    Without ``edges``, and after the first failures of 3, 4 and 5, a block
-    makes only the 2-walk product."""
+    and condition 3's cover |N1(v) ∩ (N1(u) ∪ W2[u])|.  The products, in
+    _float(n), are exact.  A block is the longest run of tails with
+    |U| * |C| at most _BLOCK_CELLS (_next_block), and H goes in chunks of as
+    many cells, so the pass holds a few _BLOCK_CELLS floats.  Without
+    ``edges``, and after the first failures of 3, 4 and 5, a block makes
+    only the 2-walk product."""
     anti: list[int] = []
     first: _Found = {}
     applicable, start = False, 0
@@ -202,18 +208,21 @@ def _block(
         (heads[s : s + step], slice(s, s + step) if at is None else at[s : s + step])
         for s in range(0, len(heads), step)
     ]
-    lone = g._adjacency(heads, cols).astype(float) if len(chunks) == 1 else None
-
-    def rows_of(chunk: np.ndarray) -> np.ndarray:  # a lone chunk is unpacked once
-        return lone if lone is not None else g._adjacency(chunk, cols).astype(float)
-
+    dtype = _float(g.n)
     # A, W2, A | W2 and a row of ones
-    stack = np.zeros((3 * size + 1 if edges else 2 * size, len(cols)))
+    stack = np.zeros((3 * size + 1 if edges else 2 * size, len(cols)), dtype=dtype)
     rows, walks, either = stack[:size], stack[size : 2 * size], stack[2 * size : -1]
     rows[:] = g._adjacency(tails, cols)
+    lone = None
+    if len(chunks) == 1:  # a lone chunk is unpacked once, or is A when H is U
+        lone = rows if np.array_equal(heads, tails) else g._adjacency(heads, cols).astype(dtype)
+
+    def rows_of(chunk: np.ndarray) -> np.ndarray:
+        return lone if lone is not None else g._adjacency(chunk, cols).astype(dtype)
+
     for chunk, places in chunks:
         walks += rows[:, places] @ rows_of(chunk)
-    degree = np.array([g._out[u].bit_count() for u in tails], dtype=float)[:, None]
+    degree = np.array([g._out[u].bit_count() for u in tails], dtype=dtype)[:, None]
     # W1 is walks > 0, and W1 minus N1 is N2
     anti = (degree[:, 0] - np.add.reduce(walks > g.n * rows, axis=1)).astype(int).tolist()
     if not edges:

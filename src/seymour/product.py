@@ -7,15 +7,17 @@ of any product vertex follow in closed form from the factor profiles, so
 anti-satisfaction is additive: a strongly connected graph without
 satisfactory vertices times any factor whose vertices all have
 nonnegative anti-satisfaction is again such a graph, on more vertices.
+
+build_product writes each row from the factors' bit rows, never an (n, n)
+matrix, and refuses more than MAX_VERTICES vertices before it builds any.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .digraph import Digraph, NeighborhoodProfile
-from .errors import VertexOutOfRange
+from .digraph import Digraph, NeighborhoodProfile, Rows
+from .errors import TooManyVertices, VertexOutOfRange
+from .textio import MAX_VERTICES
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,23 @@ def build_product(d_graph: Digraph, h_graph: Digraph) -> tuple[Digraph, ProductL
     Accepts any digon-free factors; whether they meet the counterexample
     hypotheses is the caller's concern.  The result is always loop-free and
     digon-free: a digon inside a copy would need one in H, a digon between
-    copies would need one in D.
+    copies would need one in D.  More than MAX_VERTICES product vertices
+    raise TooManyVertices, as the parser would on the product's document.
     """
     nd, nh = d_graph.n, h_graph.n
-    # kron(A_D, J_h): a D-edge joins all of copy d1 to all of copy d2;
-    # kron(I_d, A_H): each copy holds H
-    adj = np.kron(d_graph._adjacency(), np.ones((nh, nh), dtype=bool))
-    adj |= np.kron(np.eye(nd, dtype=bool), h_graph._adjacency())
-    return Digraph._from_adjacency(adj), ProductLabeling(d_count=nd, h_count=nh)
+    if nd * nh > MAX_VERTICES:
+        raise TooManyVertices(nd * nh, MAX_VERTICES)
+    out, inn = _rows(d_graph._out, h_graph._out, nh), _rows(d_graph._in, h_graph._in, nh)
+    return Digraph._from_rows(out, inn), ProductLabeling(d_count=nd, h_count=nh)
+
+
+def _rows(d_rows: Rows, h_rows: Rows, nh: int) -> Rows:
+    """Row (d, h) of the product: a full copy of H for each D-neighbor of d,
+    OR h's row of H in copy d.  Each bit of d's row, in binary, is spread to
+    nh equal bits."""
+    spread = {ord("0"): "0" * nh, ord("1"): "1" * nh}
+    copies = (int(f"{row:b}".translate(spread), 2) for row in d_rows)
+    return tuple(full | h_row << d * nh for d, full in enumerate(copies) for h_row in h_rows)
 
 
 def predicted_profile(

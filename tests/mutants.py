@@ -126,6 +126,13 @@ MUTANTS = (
         "(g._out[u] & ~bit) | (once & bit)",
         ("tests/test_filtering.py::TestAvoidingReach",),
     ),
+    Mutant(
+        "the product's in-rows built from the out-rows",
+        "src/seymour/product.py",
+        "_rows(d_graph._in, h_graph._in, nh)",
+        "_rows(d_graph._out, h_graph._out, nh)",
+        ("tests/test_product.py::test_build_product_matches_the_kronecker_oracle",),
+    ),
 )
 
 

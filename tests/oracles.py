@@ -1,8 +1,8 @@
 """Naive reference implementations used as independent test oracles.
 
 Everything here works from (n, edge list) alone with dict/set bookkeeping
-and explicit walk enumeration, deliberately sharing no code with the
-package so the two sides can disagree.
+and explicit walk enumeration (the product's Kronecker matrices aside),
+deliberately sharing no code with the package so the two sides can disagree.
 """
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import functools
 import itertools
 import math
 from collections import deque
+
+import numpy as np
 
 from seymour.errors import (
     CountMismatch,
@@ -295,6 +297,22 @@ CONDITION_ORACLES = {
     6: cond6,
     7: cond7,
 }
+
+
+def product_rows(nd, d_edges, nh, h_edges):
+    """(out-rows, in-rows) of the product D x H from its (nd * nh)^2 Kronecker
+    matrix: kron(A_D, J_nh) joins all of copy d1 to all of copy d2 for each
+    D-edge (d1, d2), and kron(I_nd, A_H) puts H in each copy."""
+    a_d, a_h = np.zeros((nd, nd), dtype=bool), np.zeros((nh, nh), dtype=bool)
+    for a, edges in ((a_d, d_edges), (a_h, h_edges)):
+        for u, v in edges:
+            a[u, v] = True
+    adj = np.kron(a_d, np.ones((nh, nh), dtype=bool)) | np.kron(np.eye(nd, dtype=bool), a_h)
+
+    def rows(matrix):
+        return tuple(sum(1 << int(v) for v in np.flatnonzero(row)) for row in matrix)
+
+    return rows(adj), rows(adj.T)
 
 
 # -- the edge check and the parser, one edge and one line at a time -----------

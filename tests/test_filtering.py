@@ -1,7 +1,8 @@
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -154,6 +155,7 @@ def test_fail_witnesses_replay(g):
 
 @settings(max_examples=150, deadline=None)
 @given(digraphs(max_n=6))
+@example(Digraph(3))  # 0 reaches neither 1 nor 2: the witness is (0, 1), not (0, 2)
 def test_connectivity_witness_is_the_first_unreachable_pair(g):
     out, _ = oracles.adjacency(g.n, g.edges)
     unreachable = [
@@ -472,9 +474,11 @@ def test_band_cycle_reads_only_the_kept_rows():
 
 
 def test_block_pass_holds_a_few_blocks_of_floats():
-    # a 513-vertex tournament: one (n, n) float matrix is 2 MiB
+    # a 513-vertex tournament: one (n, n) float32 matrix is 1 MiB
     g = _regular_tournament(513)
-    assert _peak(lambda: filtering._Facts(g).edges) < 6 * 8 * filtering._BLOCK_CELLS
+    size = np.dtype(filtering._float(g.n)).itemsize
+    assert size == 4
+    assert _peak(lambda: filtering._Facts(g).edges) < 6 * size * filtering._BLOCK_CELLS
     # the circulant C(4096; 1..7) is banded: a block of |U| tails has |U| + 6
     # heads and |U| + 13 columns, so |U| is close to |C| (174 tails on 187
     # columns) and the counts, (3|U| + 1) x |H chunk|, are as large as the
@@ -487,4 +491,13 @@ def test_block_pass_holds_a_few_blocks_of_floats():
     width = size + 13
     chunk = min(size + 6, filtering._BLOCK_CELLS // width)
     cells = (3 * size + 1) * (width + chunk) + chunk * width + 4 * size * chunk
-    assert _peak(lambda: filtering._Facts(g).edges) < 8 * cells
+    itemsize = np.dtype(filtering._float(g.n)).itemsize
+    assert _peak(lambda: filtering._Facts(g).edges) < itemsize * cells
+
+
+def test_block_pass_counts_in_float64_from_2_to_the_24_vertices():
+    # float32 holds every integer below 2^24 exactly, and each count is below n
+    for n, dtype in ((1, np.float32), ((1 << 24) - 1, np.float32), (1 << 24, np.float64)):
+        assert filtering._float(n) is dtype
+    assert float(np.float32((1 << 24) - 1)) == (1 << 24) - 1
+    assert float(np.float32((1 << 24) + 1)) != (1 << 24) + 1

@@ -1,5 +1,8 @@
+import sys
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from seymour import (
@@ -9,7 +12,10 @@ from seymour import (
     is_valid_second_factor,
     predicted_profile,
 )
-from seymour.errors import VertexOutOfRange
+from seymour.cli import main
+from seymour.errors import TooManyVertices, VertexOutOfRange
+from seymour.search import random_graph
+from seymour.textio import MAX_VERTICES
 from strategies import digraphs, strongly_connected_digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -73,6 +79,58 @@ class TestBuildProduct:
         for h in (-1, 3):
             with pytest.raises(VertexOutOfRange):
                 labeling.encode(0, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_n=6), digraphs(max_n=6))
+@example(C3, C4)  # in-rows built from the out-rows differ on any factor with an edge
+@example(SINGLE, SINGLE)
+@example(C4, SINGLE)
+@example(SINGLE, C4)
+@example(Digraph(3), C3)
+@example(C3, Digraph(4))
+@example(random_graph("tournament", 13, 0.5, 1), cycle(5))  # rows past one 64-bit word
+@example(cycle(5), random_graph("digon_free", 30, 0.3, 2))
+def test_build_product_matches_the_kronecker_oracle(d_graph, h_graph):
+    product, _ = build_product(d_graph, h_graph)
+    out, inn = oracles.product_rows(d_graph.n, d_graph.edges, h_graph.n, h_graph.edges)
+    assert (product.n, product._out, product._in) == (d_graph.n * h_graph.n, out, inn)
+
+
+def test_build_product_holds_only_its_rows():
+    # a 255-vertex tournament times C8: 2,040 vertices, 1.2 MB of rows; the
+    # Kronecker oracle's two (n, n) bool matrices alone would be 6.7 times that
+    d_graph, h_graph = random_graph("tournament", 255, 0.5, 1), cycle(8)
+    tracemalloc.start()
+    try:
+        product, _ = build_product(d_graph, h_graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = product._out + product._in
+    held = sum(map(sys.getsizeof, rows)) + 2 * sys.getsizeof(product._out)
+    assert peak < 1.1 * held
+
+
+def test_too_many_product_vertices_raise_before_the_rows(capsys, tmp_path):
+    # 363 * 363 = 131,769 vertices, past MAX_VERTICES = 2^17; their rows
+    # would be two tuples of 131,769 ints, about 2 MB
+    empty = Digraph(363)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyVertices) as raised:
+            build_product(empty, empty)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (raised.value.n, raised.value.limit) == (363 * 363, MAX_VERTICES)
+    assert peak < 1 << 16
+    factor = tmp_path / "e363.dg"
+    factor.write_text("363 0\n")
+    argv = ["product", str(factor), str(factor), "-o", str(tmp_path / "p.dg")]
+    assert main(argv) == 1
+    assert "131769 vertices exceed the limit of 131072" in capsys.readouterr().err
+    assert not (tmp_path / "p.dg").exists()
 
 
 def test_predicted_profile_examples():
