@@ -16,8 +16,8 @@ new graphs; values are safe to share between concurrent workers.
 ``_checked_parts`` is the one edge check, vectorised over a whole edge list:
 it reports the first bad position and builds the out- and in-rows without an
 (n, n) matrix; a graph stores only those.  ``Digraph._edge_arrays`` reads the sorted
-edges off the out-rows as (tails, heads) arrays: ``edges`` pairs them into a tuple,
-and ``profiles`` and ``write_digraph`` read the arrays themselves.
+edges off the out-rows' nonzero 64-bit words as (tails, heads) arrays: ``edges`` pairs
+them into a tuple, and ``profiles`` and ``write_digraph`` read the arrays themselves.
 ``Digraph(n, edges)`` runs the check over the sorted edges, for user input;
 ``parse_digraph`` runs it in line order, so errors carry line numbers, and then
 calls ``Digraph._from_rows``.  That and ``Digraph._from_adjacency(adj)`` (from
@@ -226,19 +226,20 @@ class Digraph:
 
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted edges as (tails, heads) int64 arrays, read off the out-rows in one
-        pass that unpacks only the nonzero bytes of the rows with edges: memory grows
-        with the rows, not as n * n."""
+        pass that unpacks only the nonzero 64-bit words of the rows with edges: memory
+        grows with the rows, not as n * n."""
         tails = [u for u, row in enumerate(self._out) if row]
-        ends = list(accumulate((-(-self._out[u].bit_length() // 8) for u in tails), initial=0))
-        buf = bytearray(ends[-1])
+        ends = list(accumulate((-(-self._out[u].bit_length() // 64) for u in tails), initial=0))
+        buf = bytearray(8 * ends[-1])  # each row in whole words
         for u, start, end in zip(tails, ends, ends[1:]):
-            buf[start:end] = self._out[u].to_bytes(end - start, "little")
-        at = np.flatnonzero(buf)  # the nonzero bytes, unpacked to 8 bits each
-        bits = np.flatnonzero(np.unpackbits(np.frombuffer(buf, np.uint8)[at], bitorder="little"))
-        counts = [self._out[u].bit_count() for u in tails]  # a row's edges, in bit order
-        starts = np.repeat(8 * np.array(ends[:-1], dtype=np.int64), counts)  # int64 if empty too
-        heads = at[bits >> 3] * 8 + (bits & 7) - starts
-        return np.repeat(np.array(tails, dtype=np.int64), counts), heads
+            buf[8 * start : 8 * end] = self._out[u].to_bytes(8 * (end - start), "little")
+        words, starts = np.frombuffer(buf, "<u8"), np.array(ends[:-1], dtype=np.int64)
+        at = np.flatnonzero(words)  # the nonzero words, unpacked to 64 bits each
+        row = np.searchsorted(starts, at, side="right") - 1  # each one's row, among tails
+        bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
+        word = bits >> 6
+        heads = (64 * (at - starts[row]))[word] + (bits & 63)
+        return np.array(tails, dtype=np.int64)[row][word], heads
 
     @property
     def edges(self) -> tuple[Edge, ...]:

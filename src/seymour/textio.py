@@ -14,6 +14,7 @@ to identical bytes.
 A plain document (ASCII digits, line feeds and ASCII blanks; 0 or 2 tokens of at
 most 18 digits a line) is tokenized in whole-array numpy passes and any other by
 the general tokenizer.  Errors and their line numbers come from one per-line path.
+A write formats every tail and head at once, one np.divmod per digit place of n - 1.
 
 Parse errors carry the 1-based line number of the offending input line,
 checked in this order: the header (two integers, then n >= 1,
@@ -123,7 +124,17 @@ def parse_digraph(text: str) -> Digraph:
 
 
 def write_digraph(g: Digraph) -> str:
-    """Canonical document for g; deterministic bytes for equal graphs."""
-    tails, heads = g._edge_arrays()
-    flat = np.column_stack((tails, heads)).ravel()  # tail, head, tail, head, ...
-    return f"{g.n} {len(tails)}\n" + "%d %d\n" * len(tails) % tuple(flat.tolist())
+    """Canonical document for g; deterministic bytes for equal graphs.  Each end
+    fills a field of n - 1's digit count, zero bytes before its digits, then a
+    blank or line feed; one mask drops the zeros, so memory grows with m, not n."""
+    ends = np.stack(g._edge_arrays(), axis=1, dtype=np.uint32, casting="unsafe").ravel()
+    places = len(str(g.n - 1))
+    text = np.zeros((len(ends), places + 1), dtype=np.uint8)
+    text[0::2, places], text[1::2, places] = ord(" "), ord("\n")  # tail, head, tail, ...
+    shown = True  # the ones digit always shows, a higher one while the quotient is above 0
+    for place in range(places - 1, -1, -1):
+        ends, digit = np.divmod(ends, np.uint32(10))
+        text[:, place] = (digit + ord("0")) * shown
+        shown = ends > 0
+    flat = text.ravel()
+    return f"{g.n} {len(text) // 2}\n" + str(flat[flat > 0], "ascii")

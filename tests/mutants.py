@@ -78,11 +78,18 @@ MUTANTS = (
         ("tests/test_filtering.py::TestFacts",),
     ),
     Mutant(
-        "the edge reader's ends[1:] for ends[:-1]",
+        "the edge reader's word rows off by one",
         "src/seymour/digraph.py",
-        "8 * np.array(ends[:-1], dtype=np.int64)",
-        "8 * np.array(ends[1:], dtype=np.int64)",
+        'np.searchsorted(starts, at, side="right") - 1',
+        'np.searchsorted(starts, at, side="left") - 1',
         ("tests/test_digraph.py::TestConstruction::test_cycle",),
+    ),
+    Mutant(
+        "the writer's leading digit dropped",
+        "src/seymour/textio.py",
+        "shown = ends > 0",
+        "shown = ends > 9",
+        ("tests/test_textio.py::TestWrite::test_every_digit_boundary_matches_the_percent_writer",),
     ),
     Mutant(
         "the connectivity witness min -> max",

@@ -3,6 +3,7 @@
 Everything here works from (n, edge list) alone with dict/set bookkeeping
 and explicit walk enumeration (the product's Kronecker matrices aside),
 deliberately sharing no code with the package so the two sides can disagree.
+The one exception is the writer, which reads a graph's edges as the package does.
 """
 from __future__ import annotations
 
@@ -313,6 +314,15 @@ def product_rows(nd, d_edges, nh, h_edges):
         return tuple(sum(1 << int(v) for v in np.flatnonzero(row)) for row in matrix)
 
     return rows(adj), rows(adj.T)
+
+
+def write_digraph(g):
+    """g's document, each edge line formatted by Python's ``%`` operator.  It
+    reads the edges off the package's own edge reader, so it checks only the
+    formatting."""
+    tails, heads = g._edge_arrays()
+    flat = np.column_stack((tails, heads)).ravel()  # tail, head, tail, head, ...
+    return f"{g.n} {len(tails)}\n" + "%d %d\n" * len(tails) % tuple(flat.tolist())
 
 
 # -- the edge check and the parser, one edge and one line at a time -----------

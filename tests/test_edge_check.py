@@ -283,6 +283,13 @@ def test_edges_are_read_in_memory_that_grows_with_the_rows():
     assert write_digraph(g) == f"{n} 256\n" + "".join(f"{u} {n - 1}\n" for u in range(256))
 
 
+def test_a_dense_write_holds_memory_that_grows_with_m():
+    # 523,776 edges: formatted through a tuple of their 2m ints the write peaks
+    # at 58.9 MiB; field by field in numpy arrays it peaks at about 23 MiB
+    g = random_tournament(1024, seed=1)
+    assert _peak(lambda: write_digraph(g)) < 32 << 20
+
+
 def test_an_edge_is_deleted_without_an_n_by_n_matrix():
     # two disjoint edges on 8,192 vertices: an unpacked (n, n) matrix is 64 MiB
     g = parse_digraph("8192 2\n0 1\n2 3\n")

@@ -10,12 +10,14 @@ from seymour import (
     build_product,
     is_strongly_connected,
     is_valid_second_factor,
+    parse_digraph,
     predicted_profile,
+    write_digraph,
 )
 from seymour.cli import main
-from seymour.errors import TooManyVertices, VertexOutOfRange
+from seymour.errors import RowsTooLarge, TooManyVertices, VertexOutOfRange
 from seymour.search import random_graph
-from seymour.textio import MAX_VERTICES
+from seymour.textio import MAX_ROW_BITS, MAX_VERTICES
 from strategies import digraphs, strongly_connected_digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -131,6 +133,32 @@ def test_too_many_product_vertices_raise_before_the_rows(capsys, tmp_path):
     assert main(argv) == 1
     assert "131769 vertices exceed the limit of 131072" in capsys.readouterr().err
     assert not (tmp_path / "p.dg").exists()
+
+
+def test_product_rows_past_the_bit_limit_raise_before_the_rows(capsys, tmp_path):
+    # two edges on 8,192 vertices times C13: 106,496 vertices, within
+    # MAX_VERTICES, and 2 * 13^2 + 8,192 * 13 = 106,834 edges, so the rows the
+    # parser bounds are min(n, m) * n = 106,496^2 bits, 42 times MAX_ROW_BITS
+    d_graph, c13 = parse_digraph("8192 2\n0 1\n2 3\n"), cycle(13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RowsTooLarge) as raised:
+            build_product(d_graph, c13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (raised.value.bits, raised.value.limit) == (106496**2, MAX_ROW_BITS)
+    assert peak < 1 << 16
+    (tmp_path / "d.dg").write_text("8192 2\n0 1\n2 3\n")
+    (tmp_path / "c13.dg").write_text(write_digraph(c13))
+    argv = ["product", str(tmp_path / "d.dg"), str(tmp_path / "c13.dg"), "-o", str(tmp_path / "p.dg")]
+    assert main(argv) == 1
+    assert f"{106496**2} bits (min(n, m) * n) exceed" in capsys.readouterr().err
+    assert not (tmp_path / "p.dg").exists()
+    # 1,260 copies: 16,380 vertices and 16,380^2 = 268,304,400 bits, within the limit
+    product, _ = build_product(parse_digraph("1260 2\n0 1\n2 3\n"), c13)
+    assert (product.n, product.m) == (16380, 16718) and 16380**2 <= MAX_ROW_BITS
+    assert parse_digraph(write_digraph(product)) == product
 
 
 def test_predicted_profile_examples():

@@ -1,6 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from seymour import Digraph, enumerate_digon_free, parse_digraph, write_digraph
 from seymour.errors import (
     CountMismatch,
@@ -11,9 +13,12 @@ from seymour.errors import (
     LoopEdge,
     VertexOutOfRange,
 )
+from seymour.textio import MAX_VERTICES
 from strategies import digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+# the last id before and the first after each digit count, and the largest
+BOUNDARIES = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000, MAX_VERTICES - 1]
 
 
 class TestParse:
@@ -102,6 +107,33 @@ class TestWrite:
     def test_edges_sorted_regardless_of_input_order(self):
         g = Digraph(3, [(2, 0), (0, 1), (1, 2)])
         assert write_digraph(g) == "3 3\n0 1\n1 2\n2 0\n"
+
+    def test_every_digit_boundary_matches_the_percent_writer(self):
+        # each id is the tail of the next five and the head of the five before
+        k = len(BOUNDARIES)
+        edges = [(u, BOUNDARIES[(i + s) % k]) for i, u in enumerate(BOUNDARIES) for s in range(1, 6)]
+        g = Digraph(MAX_VERTICES, edges)
+        assert write_digraph(g) == oracles.write_digraph(g)
+        assert "\n100000 131071\n131071 0\n" in write_digraph(g)
+
+
+@st.composite
+def spread_digraphs(draw):
+    """A small digon-free graph with its vertices spread over larger ids."""
+    g = draw(digraphs())
+    n = draw(st.integers(g.n, MAX_VERTICES))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=g.n, max_size=g.n, unique=True))
+    return Digraph(n, [(ids[u], ids[v]) for u, v in g.edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(spread_digraphs())
+@example(Digraph(1))
+@example(C3)
+@example(Digraph(11, [(10, 0), (9, 10), (0, 9)]))  # one-digit ids in two-digit fields
+@example(Digraph(MAX_VERTICES, [(MAX_VERTICES - 1, 0), (7, 100000), (100000, 99999)]))
+def test_write_matches_the_percent_writer(g):
+    assert write_digraph(g) == oracles.write_digraph(g)
 
 
 @settings(max_examples=200, deadline=None)
