@@ -13,11 +13,12 @@ a large finite stand-in.
 All derivation operations (edge/vertex deletion, induced subgraphs) return
 new graphs; values are safe to share between concurrent workers.
 
-``_checked_parts`` is the one edge check, vectorised over a whole edge list:
-it reports the first bad position and builds the out- and in-rows without an
-(n, n) matrix; a graph stores only those.  ``Digraph._edge_arrays`` reads the sorted
-edges off the out-rows' nonzero 64-bit words as (tails, heads) arrays: ``edges`` pairs
-them into a tuple, and ``profiles`` and ``write_digraph`` read the arrays themselves.
+``_checked_parts`` is the one edge check, vectorised over a whole edge list: it reports
+the first bad position and builds the out- and in-rows without an (n, n) matrix; a graph
+stores only those.  A valid list costs one unstable sort of its pair keys; the stable
+search for the first bad position runs only when some edge is bad.  ``Digraph._edge_arrays``
+reads the sorted edges off the out-rows' nonzero 64-bit words as (tails, heads) arrays:
+``edges`` pairs them into a tuple, and ``profiles`` and ``write_digraph`` read the arrays.
 ``Digraph(n, edges)`` runs the check over the sorted edges, for user input;
 ``parse_digraph`` runs it in line order, so errors carry line numbers, and then
 calls ``Digraph._from_rows``.  That and ``Digraph._from_adjacency(adj)`` (from
@@ -78,7 +79,9 @@ def _checked_parts(
     the tail's range comes first, then the head's, a loop, a duplicate and a
     digon (its vertex pair on an earlier position, in the same or the other
     orientation).  Pair and edge keys are u*s + v with s = 64 * ceil(n / 64),
-    which fit int64 for any n whose rows fit in memory.
+    which fit int64 for any n whose rows fit in memory.  Whether any edge is bad
+    is read off the ends' range, a loop test and one unstable sort of the pair
+    keys (min, max); only then does a stable argsort find the first bad position.
     """
     try:
         flat = np.asarray(values, dtype=np.int64)
@@ -87,12 +90,14 @@ def _checked_parts(
     tails, heads = flat[0::2], flat[1::2]
     stride = -(-n // 64) * 64
     pair = np.minimum(tails, heads) * stride + np.maximum(tails, heads)
-    order = np.argsort(pair, kind="stable")  # equal pairs keep their positions' order
-    pairs = pair[order]
-    again = np.zeros(len(pair), dtype=bool)  # the pair is on an earlier position too
-    again[order[1:]] = pairs[1:] == pairs[:-1]
-    bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads) | again
-    if bad.any():
+    pairs = np.sort(pair)  # two equal neighbours are a duplicate or a digon
+    ranged = 0 <= flat.min(initial=0) and flat.max(initial=0) < n
+    if not ranged or (tails == heads).any() or (pairs[1:] == pairs[:-1]).any():  # an edge is bad
+        order = np.argsort(pair, kind="stable")  # equal pairs keep their positions' order
+        pairs = pair[order]
+        again = np.zeros(len(pair), dtype=bool)  # the pair is on an earlier position too
+        again[order[1:]] = pairs[1:] == pairs[:-1]
+        bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads) | again
         i = int(bad.argmax())
         u, v = int(values[2 * i]), int(values[2 * i + 1])
         line = line_of(i)
@@ -112,7 +117,9 @@ def _rows(n: int, stride: int, keys: np.ndarray) -> Rows:
     """Row r as an int with bit c set for each r*stride + c of the sorted keys,
     OR-ing the keys' bits per (row, 64-bit word) group, never an (n, n) matrix."""
     groups = keys >> 6  # row * stride / 64 + word, sorted
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    start = np.ones(len(groups), dtype=bool)  # the first key of each group
+    np.not_equal(groups[1:], groups[:-1], out=start[1:])
+    starts = np.flatnonzero(start)
     bits = np.left_shift(np.uint64(1), (keys & 63).astype(np.uint64))
     row, word = np.divmod(groups[starts], stride // 64)
     words = np.bitwise_or.reduceat(bits, starts)
@@ -236,10 +243,11 @@ class Digraph:
         words, starts = np.frombuffer(buf, "<u8"), np.array(ends[:-1], dtype=np.int64)
         at = np.flatnonzero(words)  # the nonzero words, unpacked to 64 bits each
         row = np.searchsorted(starts, at, side="right") - 1  # each one's row, among tails
-        bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
-        word = bits >> 6
-        heads = (64 * (at - starts[row]))[word] + (bits & 63)
-        return np.array(tails, dtype=np.int64)[row][word], heads
+        heads = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
+        word = heads >> 6  # each bit's word among the nonzero ones, then its tail
+        heads &= 63  # in place, as each step below: three arrays of m at most
+        heads += (64 * (at - starts[row]))[word]
+        return np.take(np.array(tails, dtype=np.int64)[row], word, out=word), heads
 
     @property
     def edges(self) -> tuple[Edge, ...]:

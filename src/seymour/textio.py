@@ -52,7 +52,9 @@ def _plain_values(body: str) -> np.ndarray | None:
     digit = raw - np.uint8(48) < 10
     if not (digit | (raw - np.uint8(9) < 5) | (raw - np.uint8(28) < 5)).all():
         return None  # a character other than a digit, a blank or the line feed (9-13, 28-32)
-    change = np.diff(digit, prepend=False, append=False)
+    change = np.zeros(len(raw) + 1, dtype=bool)  # digit[i - 1] != digit[i], none past the ends
+    change[0], change[-1] = digit[:1].any(), digit[-1:].any()
+    np.not_equal(digit[1:], digit[:-1], out=change[1:-1])
     bounds = np.flatnonzero(change)
     starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]  # the digit runs
     # every line holds 0 or 2 runs iff, among the run starts and line feeds in

@@ -85,6 +85,26 @@ MUTANTS = (
         ("tests/test_digraph.py::TestConstruction::test_cycle",),
     ),
     Mutant(
+        "the edge check's valid path sorts the out-keys, not the pair keys",
+        "src/seymour/digraph.py",
+        "pairs = np.sort(pair)  # two equal neighbours",
+        "pairs = np.sort(tails * stride + heads)  # two equal neighbours",
+        (
+            "tests/test_textio.py::TestParse::test_digon_with_line_number",
+            "tests/test_edge_check.py::test_a_large_plain_document_whose_last_line_is_its_only_bad_one",
+        ),
+    ),
+    Mutant(
+        "the rows without their first group start",
+        "src/seymour/digraph.py",
+        "start = np.ones(len(groups), dtype=bool)",
+        "start = np.zeros(len(groups), dtype=bool)",
+        (
+            "tests/test_textio.py::TestParse::test_cycle",
+            "tests/test_textio.py::test_round_trip_on_all_small_graphs",
+        ),
+    ),
+    Mutant(
         "the writer's leading digit dropped",
         "src/seymour/textio.py",
         "shown = ends > 0",

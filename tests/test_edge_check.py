@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from seymour import Digraph, parse_digraph, random_tournament, write_digraph
-from seymour import textio
+from seymour import digraph, textio
 from seymour.errors import DigraphError, RowsTooLarge, TooManyVertices
 from seymour.textio import MAX_ROW_BITS, MAX_VERTICES
 from strategies import digraphs
@@ -304,3 +304,45 @@ def test_plain_documents_parse_within_the_general_tokenizers_peak():
     assert textio._plain_values(text) is not None and textio._plain_values(wide) is None
     assert parse_digraph(text) == parse_digraph(wide)
     assert _peak(lambda: parse_digraph(text)) <= _peak(lambda: parse_digraph(wide))
+
+
+def test_the_edge_reader_reuses_its_arrays_of_m():
+    # 523,776 edges, 8 MiB of tails and heads: a reader that keeps its int64
+    # temporaries of m beside them peaks at 16.6 MiB, one that works on them in
+    # place holds three arrays of m at most and peaks at 12.6 MiB
+    g = random_tournament(1024, seed=1)
+    assert _peak(g._edge_arrays) < 13 << 20
+    tails, heads = g._edge_arrays()
+    want = np.nonzero(g._adjacency())  # row-major: sorted by tail, then head
+    assert (tails.dtype, heads.dtype) == (np.int64, np.int64)
+    assert (tails == want[0]).all() and (heads == want[1]).all()
+
+
+@pytest.mark.parametrize(
+    "last, error",
+    [
+        pytest.param(lambda u, v: (v, u), "DigonPair", id="reversed"),
+        pytest.param(lambda u, v: (u, v), "DuplicateEdge", id="repeated"),
+        pytest.param(lambda u, v: (u, u), "LoopEdge", id="loop"),
+    ],
+)
+def test_a_large_plain_document_whose_last_line_is_its_only_bad_one(last, error):
+    # 44,850 good edge lines, then one bad: the valid path's one sort of the pair
+    # keys must see it, and the stable search must name the last line
+    text = write_digraph(random_tournament(300, seed=1))
+    header, first, rest = text.split("\n", 2)
+    u, v = map(int, first.split())
+    lines = text.count("\n") + 1  # the appended line's number
+    text = f"300 {lines - 1}\n{first}\n{rest}" + "%d %d\n" % last(u, v)
+    assert textio._plain_values(text) is not None and header == f"300 {lines - 2}"
+    kind, _, line = _agree(text)
+    assert (kind, line) == (error, lines)
+    edges = [tuple(map(int, row.split())) for row in text.splitlines()[1:]]
+    got = _outcome(lambda: _parts(Digraph(300, edges)))  # the same edges, checked in sorted order
+    assert got[0] == error and got == _outcome(lambda: oracles.digraph_parts(300, edges))
+
+
+def test_rows_of_no_keys_at_the_vertex_limit():
+    rows = digraph._rows(MAX_VERTICES, MAX_VERTICES, np.zeros(0, dtype=np.int64))
+    assert rows == (0,) * MAX_VERTICES
+    assert _parts(parse_digraph(f"{MAX_VERTICES} 0\n")) == ((), rows, rows)
