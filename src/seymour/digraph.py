@@ -25,6 +25,8 @@ calls ``Digraph._from_rows``.  That and ``Digraph._from_adjacency(adj)`` (from
 an (n, n) bool matrix) check nothing: only the parser and code that is loop-free
 and digon-free by construction call them (the derivations below, the random
 models, the graphs ``search`` decodes or draws, and ``build_product``).
+``Digraph(n, edges)``, ``parse_digraph`` and ``build_product`` call ``_check_size`` first,
+so the parser reads back the document of every graph they return.
 """
 from __future__ import annotations
 
@@ -43,12 +45,19 @@ from .errors import (
     LoopEdge,
     NonPositiveK,
     NoSuchEdge,
+    RowsTooLarge,
+    TooManyVertices,
     VertexOutOfRange,
     WouldBeEmpty,
 )
 
 Edge = tuple[int, int]
 Rows = tuple[int, ...]
+
+#: Largest n, so the edge check's keys, below (n + 64) * n, fit int64, and
+#: largest min(n, m) * n, the bits the rows of m edges can take: each row is
+#: an int as wide as its highest bit, so a short edge list could ask for GiBs.
+MAX_VERTICES, MAX_ROW_BITS = 1 << 17, 1 << 28
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -69,6 +78,17 @@ def _two_walks(rows: Rows, x: int) -> tuple[int, int]:
     return once, twice
 
 
+def _check_size(n: int, m: int, line: Callable[[], int | None] = lambda: None) -> None:
+    """Raise EmptyVertexSet for n < 1, then TooManyVertices for n > MAX_VERTICES,
+    then RowsTooLarge for min(n, m) * n > MAX_ROW_BITS, each with line ``line()``."""
+    if n < 1:
+        raise EmptyVertexSet(line=line())
+    if n > MAX_VERTICES:
+        raise TooManyVertices(n, MAX_VERTICES, line=line())
+    if min(n, m) * n > MAX_ROW_BITS:
+        raise RowsTooLarge(min(n, m) * n, MAX_ROW_BITS, line=line())
+
+
 def _checked_parts(
     n: int, values: list[int] | np.ndarray, line_of: Callable[[int], int | None] = lambda i: None
 ) -> tuple[Rows, Rows]:
@@ -79,7 +99,7 @@ def _checked_parts(
     the tail's range comes first, then the head's, a loop, a duplicate and a
     digon (its vertex pair on an earlier position, in the same or the other
     orientation).  Pair and edge keys are u*s + v with s = 64 * ceil(n / 64),
-    which fit int64 for any n whose rows fit in memory.  Whether any edge is bad
+    below (n + 64) * n, which fits int64 for n <= MAX_VERTICES.  Whether any edge is bad
     is read off the ends' range, a loop test and one unstable sort of the pair
     keys (min, max); only then does a stable argsort find the first bad position.
     """
@@ -178,8 +198,8 @@ class NeighborhoodProfile:
 class Digraph:
     """A loop-free, digon-free directed graph on vertices 0..n-1.
 
-    Construction validates the edge list; the first offending edge in
-    canonical (sorted) order is reported.  Instances are immutable and store
+    Construction checks the size (_check_size), then the edge list; the first offending
+    edge in canonical (sorted) order is reported.  Instances are immutable and store
     only out- and in-rows; ``edges``, the sorted tuple, is a view read off the out-rows.
     """
 
@@ -188,9 +208,10 @@ class Digraph:
     n: int
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
-        if n < 1:
-            raise EmptyVertexSet()
+        n = index(n)
+        _check_size(n, 0)  # before the edges are read
         flat = list(chain.from_iterable(sorted((index(u), index(v)) for u, v in edges)))
+        _check_size(n, len(flat) // 2)
         for name, value in zip(self.__slots__, (n, *_checked_parts(n, flat))):
             object.__setattr__(self, name, value)
 
@@ -304,9 +325,6 @@ class Digraph:
 
     def out_degree(self, u: int) -> int:
         return self.out_mask(u).bit_count()
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     # -- BFS layers ----------------------------------------------------------
 

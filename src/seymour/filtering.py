@@ -23,9 +23,9 @@ Evaluation order is fixed (cheap per-vertex scans first, per-edge path
 checks last) so reports are reproducible.
 
 The checks share per-graph facts (_Facts): anti-satisfaction, and the first
-failing edge of conditions 3-5.  One pass of exact float32 matrix products
-(float64 from 2^24 vertices, _float) over blocks of tails gives them
-(_block_pass), in memory bounded by _BLOCK_CELLS whatever the graph.
+failing edge of conditions 3-5.  One pass of float32 matrix products, exact as every count
+is below n <= digraph.MAX_VERTICES < 2^24, over blocks of tails gives them (_block_pass),
+in memory bounded by _BLOCK_CELLS whatever the graph.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .digraph import Digraph, Edge, _bits, _row_masks, _two_walks
+from .digraph import Digraph, Edge, _bits, _two_walks
 from .errors import ConditionOutOfRange
 from .structure import (
     diamond_base_targets,
@@ -110,11 +110,6 @@ def avoiding_reach(g: Digraph, edge: Edge) -> tuple[set[int], set[int]]:
 #: times the columns its 2-walks reach, and a chunk of heads times the same.
 _BLOCK_CELLS = 1 << 15
 
-def _float(n: int) -> type:
-    """The block pass's float type on n vertices: float32 holds every integer
-    below 2^24 exactly, and every count is at most one out-degree, below n."""
-    return np.float32 if n < 1 << 24 else np.float64
-
 
 #: condition -> its first failing edge (u, v)
 _Found = dict[int, Edge]
@@ -141,7 +136,7 @@ class _Facts:
 
     @cached_property
     def ones(self) -> int:
-        return _row_masks(np.array([self.anti]) == 1)[0]
+        return sum(1 << u for u, a in enumerate(self.anti) if a == 1)
 
 
 def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]]:
@@ -153,7 +148,7 @@ def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]
     >= 2.  Then [A; W2; A | W2] @ B.T holds, for each edge (u,v) out of U,
     its triangle bases |N1(u) ∩ N1(v)|, its diamond apexes |N1(v) ∩ W2[u]|
     and condition 3's cover |N1(v) ∩ (N1(u) ∪ W2[u])|.  The products, in
-    _float(n), are exact.  A block is the longest run of tails with
+    float32, are exact.  A block is the longest run of tails with
     |U| * |C| at most _BLOCK_CELLS (_next_block), and H goes in chunks of as
     many cells, so the pass holds a few _BLOCK_CELLS floats.  Without
     ``edges``, and after the first failures of 3, 4 and 5, a block makes
@@ -208,21 +203,20 @@ def _block(
         (heads[s : s + step], slice(s, s + step) if at is None else at[s : s + step])
         for s in range(0, len(heads), step)
     ]
-    dtype = _float(g.n)
     # A, W2, A | W2 and a row of ones
-    stack = np.zeros((3 * size + 1 if edges else 2 * size, len(cols)), dtype=dtype)
+    stack = np.zeros((3 * size + 1 if edges else 2 * size, len(cols)), dtype=np.float32)
     rows, walks, either = stack[:size], stack[size : 2 * size], stack[2 * size : -1]
     rows[:] = g._adjacency(tails, cols)
     lone = None
     if len(chunks) == 1:  # a lone chunk is unpacked once, or is A when H is U
-        lone = rows if np.array_equal(heads, tails) else g._adjacency(heads, cols).astype(dtype)
+        lone = rows if np.array_equal(heads, tails) else g._adjacency(heads, cols).astype(np.float32)
 
     def rows_of(chunk: np.ndarray) -> np.ndarray:
-        return lone if lone is not None else g._adjacency(chunk, cols).astype(dtype)
+        return lone if lone is not None else g._adjacency(chunk, cols).astype(np.float32)
 
     for chunk, places in chunks:
         walks += rows[:, places] @ rows_of(chunk)
-    degree = np.array([g._out[u].bit_count() for u in tails], dtype=dtype)[:, None]
+    degree = np.array([g._out[u].bit_count() for u in tails], dtype=np.float32)[:, None]
     # W1 is walks > 0, and W1 minus N1 is N2
     anti = (degree[:, 0] - np.add.reduce(walks > g.n * rows, axis=1)).astype(int).tolist()
     if not edges:
@@ -283,14 +277,14 @@ def _check_avoiding_paths(g: Digraph, facts: _Facts) -> ConditionVerdict:
         u, v = first[3]
         missing = sorted(avoiding_reach(g, (u, v))[1])
         return ConditionVerdict(3, FAIL, {"edge": [u, v], "missing": missing})
-    return ConditionVerdict(3, PASS if g.m else NOT_APPLICABLE)
+    return ConditionVerdict(3, PASS if any(g._out) else NOT_APPLICABLE)
 
 
 def _check_every_edge_is_base(g: Digraph, facts: _Facts) -> ConditionVerdict:
     first = facts.edges[0]
     if 4 in first:
         return ConditionVerdict(4, FAIL, {"edge": list(first[4])})
-    return ConditionVerdict(4, PASS if g.m else NOT_APPLICABLE)
+    return ConditionVerdict(4, PASS if any(g._out) else NOT_APPLICABLE)
 
 
 def _check_base_multiplicity(g: Digraph, facts: _Facts) -> ConditionVerdict:

@@ -9,15 +9,14 @@ satisfactory vertices times any factor whose vertices all have
 nonnegative anti-satisfaction is again such a graph, on more vertices.
 
 build_product writes each row from the factors' bit rows, never an (n, n)
-matrix, and first refuses a product whose document the parser would refuse.
+matrix, and first refuses, by ``digraph._check_size``, a product the parser would refuse.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, NeighborhoodProfile, Rows
-from .errors import RowsTooLarge, TooManyVertices, VertexOutOfRange
-from .textio import MAX_ROW_BITS, MAX_VERTICES
+from .digraph import Digraph, NeighborhoodProfile, Rows, _check_size
+from .errors import VertexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,12 @@ def build_product(d_graph: Digraph, h_graph: Digraph) -> tuple[Digraph, ProductL
     Accepts any digon-free factors; whether they meet the counterexample
     hypotheses is the caller's concern.  The result is always loop-free and
     digon-free: a digon inside a copy would need one in H, a digon between
-    copies would need one in D.  More than MAX_VERTICES product vertices
-    raise TooManyVertices, and then min(n, m) * n > MAX_ROW_BITS raises
-    RowsTooLarge, as the parser would on the product's document.
+    copies would need one in D.  More than digraph.MAX_VERTICES product
+    vertices raise TooManyVertices, and then min(n, m) * n > MAX_ROW_BITS
+    raises RowsTooLarge, as the parser would on the product's document.
     """
     nd, nh = d_graph.n, h_graph.n
-    if nd * nh > MAX_VERTICES:
-        raise TooManyVertices(nd * nh, MAX_VERTICES)
-    n, m = nd * nh, d_graph.m * nh * nh + nd * h_graph.m  # the product's vertices and edges
-    if min(n, m) * n > MAX_ROW_BITS:
-        raise RowsTooLarge(min(n, m) * n, MAX_ROW_BITS)
+    _check_size(nd * nh, d_graph.m * nh * nh + nd * h_graph.m)  # the product's n and m
     out, inn = _rows(d_graph._out, h_graph._out, nh), _rows(d_graph._in, h_graph._in, nh)
     return Digraph._from_rows(out, inn), ProductLabeling(d_count=nd, h_count=nh)
 

@@ -42,11 +42,11 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .digraph import Digraph, _packed_rows, _unpacked
+from .digraph import MAX_ROW_BITS, Digraph, _packed_rows, _unpacked
 from .errors import CeilingExceeded, EmptyVertexSet, InvalidProbability
 from .errors import RetriesExhausted, TooManySamples, TooManyVertices, TooManyWorkers
 from .filtering import CONDITION_COUNT, PASS, ConditionVerdict, FilterReport, run_filter
-from .textio import MAX_ROW_BITS, write_digraph
+from .textio import write_digraph
 
 DEFAULT_CEILING = 6
 DEFAULT_MAX_RETRIES = 1000  # rejection-sampling attempts per triangle-free graph

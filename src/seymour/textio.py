@@ -7,9 +7,9 @@ alone; every other ``str.isspace`` character (space, tab, ``\\r``, ``\\x0b``,
 that is blank, or whose first non-blank character is ``#``, is ignored;
 every other line holds exactly two tokens separated by blanks, and a token
 is any string ``int()`` accepts (``+1``, ``1_0``, ``٣``).  The header's n
-must lie in [1, MAX_VERTICES].  Writing emits edges in canonical sorted
-order, so parse(write(g)) reproduces g exactly and equal graphs serialize
-to identical bytes.
+must lie in [1, digraph.MAX_VERTICES].  Writing emits edges in canonical
+sorted order, so parse(write(g)) reproduces g exactly and equal graphs
+serialize to identical bytes.
 
 A plain document (ASCII digits, line feeds and ASCII blanks; 0 or 2 tokens of at
 most 18 digits a line) is tokenized in whole-array numpy passes and any other by
@@ -22,7 +22,7 @@ n <= MAX_VERTICES and m >= 0), the count of edge lines against m, the
 bound min(n, m) * n <= MAX_ROW_BITS on the rows, then the first bad edge
 line.  On that line: not two integers, tail out of range,
 head out of range, a loop, a duplicate of an earlier line, a digon with an
-earlier line (the last five are ``digraph._checked_parts``).
+earlier line (the limits are ``digraph._check_size``, the last five ``_checked_parts``).
 """
 from __future__ import annotations
 
@@ -32,13 +32,8 @@ from itertools import chain
 
 import numpy as np
 
-from .digraph import Digraph, _checked_parts
-from .errors import CountMismatch, EmptyVertexSet, GraphSyntaxError, RowsTooLarge, TooManyVertices
-
-#: Largest header n, so the edge check's keys, below (n + 64) * n, fit int64,
-#: and largest min(n, m) * n, the bits the rows of m edges can take: each row
-#: is an int as wide as its highest bit, so a short document could ask for GiBs.
-MAX_VERTICES, MAX_ROW_BITS = 1 << 17, 1 << 28
+from .digraph import Digraph, _check_size, _checked_parts
+from .errors import CountMismatch, GraphSyntaxError
 
 # a line whose first non-blank is "#"; [^\S\n] is a blank, as \s is str.isspace
 _COMMENT = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
@@ -86,7 +81,7 @@ def parse_digraph(text: str) -> Digraph:
     def significant() -> list[tuple[int, list[str]]]:  # on the error paths only
         return [(no, row) for no, row in enumerate(map(str.split, body.split("\n")), 1) if row]
 
-    def line(i: int) -> int:  # the number of the i-th line that is not blank
+    def line(i: int = 0) -> int:  # the number of the i-th line that is not blank
         return significant()[i][0]
 
     def syntax_error(i: int, what: str) -> GraphSyntaxError:
@@ -108,17 +103,13 @@ def parse_digraph(text: str) -> Digraph:
     if len(values) == 0:
         raise GraphSyntaxError(1, "missing 'n m' header")
     n, m = map(int, values[:2])
-    if n < 1:
-        raise EmptyVertexSet(line=line(0))
-    if n > MAX_VERTICES:
-        raise TooManyVertices(n, MAX_VERTICES, line=line(0))
+    _check_size(n, 0, line)  # n alone: m is checked against the edge lines first
     if m < 0:
         raise GraphSyntaxError(line(0), f"negative edge count {m}")
     edge_lines = len(values) // 2 - 1 if bad is None else len(pairs) - 1
     if edge_lines != m:
         raise CountMismatch(m, edge_lines)
-    if min(n, m) * n > MAX_ROW_BITS:
-        raise RowsTooLarge(min(n, m) * n, MAX_ROW_BITS, line=line(0))
+    _check_size(n, m, line)
     parts = _checked_parts(n, values[2:], lambda i: line(i + 1))
     if bad is not None:
         raise syntax_error(bad, "edge tail and head")

@@ -78,6 +78,27 @@ MUTANTS = (
         ("tests/test_filtering.py::TestFacts",),
     ),
     Mutant(
+        "Digraph(n, edges) reads the edges before it checks n",
+        "src/seymour/digraph.py",
+        "_check_size(n, 0)  # before the edges are read",
+        "pass  # before the edges are read",
+        (
+            "tests/test_digraph.py::TestSizeLimits::"
+            "test_n_past_the_limit_raises_before_the_edges_are_read",
+        ),
+    ),
+    Mutant(
+        "Digraph(n, edges) without the row-bit check",
+        "src/seymour/digraph.py",
+        "_check_size(n, len(flat) // 2)",
+        "pass",
+        (
+            "tests/test_digraph.py::TestSizeLimits::test_the_size_comes_before_the_edges",
+            "tests/test_digraph.py::TestSizeLimits::"
+            "test_rows_past_the_bit_limit_raise_as_the_parser_does",
+        ),
+    ),
+    Mutant(
         "the edge reader's word rows off by one",
         "src/seymour/digraph.py",
         'np.searchsorted(starts, at, side="right") - 1',
@@ -103,6 +124,13 @@ MUTANTS = (
             "tests/test_textio.py::TestParse::test_cycle",
             "tests/test_textio.py::test_round_trip_on_all_small_graphs",
         ),
+    ),
+    Mutant(
+        "the parser looks up the header's line before the row check",
+        "src/seymour/textio.py",
+        "_check_size(n, m, line)",
+        "_check_size(n, m, lambda header=line(): header)",
+        ("tests/test_edge_check.py", "-k", "test_a_valid_plain_document_never_looks_up_a_line_number"),
     ),
     Mutant(
         "the writer's leading digit dropped",

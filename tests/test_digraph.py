@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seymour import Digraph, build_product, random_tournament, run_filter, write_digraph
+from seymour import (
+    Digraph,
+    build_product,
+    parse_digraph,
+    random_tournament,
+    run_filter,
+    write_digraph,
+)
+from seymour.digraph import MAX_ROW_BITS, MAX_VERTICES
 from seymour.errors import (
     DigonPair,
     DuplicateEdge,
@@ -15,6 +24,8 @@ from seymour.errors import (
     LoopEdge,
     NonPositiveK,
     NoSuchEdge,
+    RowsTooLarge,
+    TooManyVertices,
     VertexOutOfRange,
     WouldBeEmpty,
 )
@@ -74,6 +85,65 @@ class TestConstruction:
         clone = pickle.loads(pickle.dumps(TT))
         assert clone == TT
         assert clone.out_neighbors(0) == {1, 2}
+
+    def test_n_is_an_index(self):
+        one = Digraph(True).n
+        assert type(one) is int and one == 1
+        assert type(Digraph(np.int64(3)).n) is int
+        with pytest.raises(TypeError):
+            Digraph(2.5)
+
+
+class _Unread:
+    """An edge iterable that fails the test if anything reads it."""
+
+    def __iter__(self):
+        raise AssertionError("the edges were read before n was checked")
+
+
+class TestSizeLimits:
+    """Digraph(n, edges) holds to the parser's limits, so a graph built from
+    user input writes a document that parse_digraph reads back."""
+
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**7])
+    def test_n_past_the_limit_raises_before_the_edges_are_read(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyVertices) as exc:
+                Digraph(n, _Unread())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.n, exc.value.limit, exc.value.line) == (n, MAX_VERTICES, None)
+        assert peak < 64 << 10
+
+    def test_rows_past_the_bit_limit_raise_as_the_parser_does(self):
+        # 2,049 distinct tails on MAX_VERTICES vertices: min(n, m) * n is one
+        # row of n bits past MAX_ROW_BITS
+        edges = [(u, 0) for u in range(1, 2050)]
+        with pytest.raises(RowsTooLarge) as exc:
+            Digraph(MAX_VERTICES, edges)
+        text = f"{MAX_VERTICES} 2049\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        with pytest.raises(RowsTooLarge) as parsed:
+            parse_digraph(text)
+        assert (exc.value.bits, exc.value.limit) == (parsed.value.bits, parsed.value.limit)
+        assert exc.value.bits == 2049 * MAX_VERTICES > MAX_ROW_BITS
+        assert exc.value.line is None
+
+    def test_the_size_comes_before_the_edges(self):
+        with pytest.raises(EmptyVertexSet):
+            Digraph(0, [(0, 0)])
+        with pytest.raises(TooManyVertices):
+            Digraph(MAX_VERTICES + 1, [(0, 0)])
+        with pytest.raises(RowsTooLarge):  # a loop in an edge list past the row limit
+            Digraph(MAX_VERTICES, [(0, 0)] + [(u, 0) for u in range(1, 2049)])
+
+    def test_graphs_at_the_limits_round_trip(self):
+        top = Digraph(MAX_VERTICES, [(MAX_VERTICES - 1, 0), (7, MAX_VERTICES - 1)])
+        assert parse_digraph(write_digraph(top)) == top
+        m = MAX_ROW_BITS // MAX_VERTICES  # min(n, m) * n is MAX_ROW_BITS
+        full = Digraph(MAX_VERTICES, [(u, 0) for u in range(1, m + 1)])
+        assert full.m == m and parse_digraph(write_digraph(full)) == full
 
 
 class TestNeighborhoods:

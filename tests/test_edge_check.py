@@ -10,7 +10,7 @@ import oracles
 from seymour import Digraph, parse_digraph, random_tournament, write_digraph
 from seymour import digraph, textio
 from seymour.errors import DigraphError, RowsTooLarge, TooManyVertices
-from seymour.textio import MAX_ROW_BITS, MAX_VERTICES
+from seymour.digraph import MAX_ROW_BITS, MAX_VERTICES
 from strategies import digraphs
 
 # int() accepts the first row and rejects the second; -1 and the 20-digit
@@ -258,6 +258,20 @@ def test_rows_at_the_bit_limit_parse():
     with pytest.raises(RowsTooLarge) as exc:
         parse_digraph(text.replace(f" {m}\n", f" {m + 1}\n", 1) + f"{m + 1} 0\n")
     assert (exc.value.bits, exc.value.line) == ((m + 1) * MAX_VERTICES, 2)
+
+
+class _Unsplit(str):
+    """A document that fails the test if it is split into lines."""
+
+    def split(self, *args, **kwargs):
+        raise AssertionError("a valid plain document was split into lines")
+
+
+@pytest.mark.parametrize("text", ["1 0\n", "3 3\n0 1\n1 2\n2 0\n", f"{MAX_VERTICES} 1\n0 1\n"])
+def test_a_valid_plain_document_never_looks_up_a_line_number(text):
+    # line numbers come from splitting the document, so the size checks and
+    # the edge check may only ask for one when they raise
+    assert parse_digraph(_Unsplit(text)) == parse_digraph(text)
 
 
 def _peak(call):

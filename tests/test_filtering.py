@@ -18,7 +18,7 @@ from seymour import (
     triangle_base_count,
 )
 from seymour import filtering, structure
-from seymour.digraph import _bits
+from seymour.digraph import MAX_VERTICES, _bits
 from seymour.errors import ConditionOutOfRange, NoSuchEdge
 from seymour.filtering import EVALUATION_ORDER, FAIL, NOT_APPLICABLE, PASS
 from seymour.search import random_graph
@@ -476,8 +476,7 @@ def test_band_cycle_reads_only_the_kept_rows():
 def test_block_pass_holds_a_few_blocks_of_floats():
     # a 513-vertex tournament: one (n, n) float32 matrix is 1 MiB
     g = _regular_tournament(513)
-    size = np.dtype(filtering._float(g.n)).itemsize
-    assert size == 4
+    size = np.dtype(np.float32).itemsize
     assert _peak(lambda: filtering._Facts(g).edges) < 6 * size * filtering._BLOCK_CELLS
     # the circulant C(4096; 1..7) is banded: a block of |U| tails has |U| + 6
     # heads and |U| + 13 columns, so |U| is close to |C| (174 tails on 187
@@ -491,13 +490,14 @@ def test_block_pass_holds_a_few_blocks_of_floats():
     width = size + 13
     chunk = min(size + 6, filtering._BLOCK_CELLS // width)
     cells = (3 * size + 1) * (width + chunk) + chunk * width + 4 * size * chunk
-    itemsize = np.dtype(filtering._float(g.n)).itemsize
+    itemsize = np.dtype(np.float32).itemsize
     assert _peak(lambda: filtering._Facts(g).edges) < itemsize * cells
 
 
-def test_block_pass_counts_in_float64_from_2_to_the_24_vertices():
-    # float32 holds every integer below 2^24 exactly, and each count is below n
-    for n, dtype in ((1, np.float32), ((1 << 24) - 1, np.float32), (1 << 24, np.float64)):
-        assert filtering._float(n) is dtype
+def test_block_pass_counts_exactly_in_float32_at_every_allowed_n():
+    # each count is at most one out-degree, below n <= MAX_VERTICES, and
+    # float32 holds every integer below 2^24 exactly
+    assert MAX_VERTICES < 2**24
+    assert int(np.float32(MAX_VERTICES)) == MAX_VERTICES
     assert float(np.float32((1 << 24) - 1)) == (1 << 24) - 1
     assert float(np.float32((1 << 24) + 1)) != (1 << 24) + 1

@@ -17,7 +17,7 @@ from seymour import (
 from seymour.cli import main
 from seymour.errors import RowsTooLarge, TooManyVertices, VertexOutOfRange
 from seymour.search import random_graph
-from seymour.textio import MAX_ROW_BITS, MAX_VERTICES
+from seymour.digraph import MAX_ROW_BITS, MAX_VERTICES
 from strategies import digraphs, strongly_connected_digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])

@@ -1429,7 +1429,7 @@ def forbid_draws(monkeypatch):
 
 class TestVertexLimit:
     """A random graph needs an (n, n) matrix, so n past the square root of
-    textio.MAX_ROW_BITS is refused before anything is drawn."""
+    digraph.MAX_ROW_BITS is refused before anything is drawn."""
 
     @pytest.mark.parametrize("n", [MAX_RANDOM_VERTICES + 1, 10**6])
     def test_spec_and_draws_reject_n_past_the_limit(self, forbid_draws, n):

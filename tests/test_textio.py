@@ -13,7 +13,7 @@ from seymour.errors import (
     LoopEdge,
     VertexOutOfRange,
 )
-from seymour.textio import MAX_VERTICES
+from seymour.digraph import MAX_VERTICES
 from strategies import digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
