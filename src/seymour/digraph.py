@@ -31,7 +31,7 @@ so the parser reads back the document of every graph they return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain, islice
 from operator import index
 from typing import Callable, Iterable, Iterator
 
@@ -254,20 +254,20 @@ class Digraph:
 
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted edges as (tails, heads) int64 arrays, read off the out-rows in one
-        pass that unpacks only the nonzero 64-bit words of the rows with edges: memory
-        grows with the rows, not as n * n."""
+        pass that lays each row with an edge in ceil(n / 64) 64-bit words and unpacks only
+        the nonzero words: memory grows as min(n, m) * n / 8 bytes, not as n * n."""
         tails = [u for u, row in enumerate(self._out) if row]
-        ends = list(accumulate((-(-self._out[u].bit_length() // 64) for u in tails), initial=0))
-        buf = bytearray(8 * ends[-1])  # each row in whole words
-        for u, start, end in zip(tails, ends, ends[1:]):
-            buf[8 * start : 8 * end] = self._out[u].to_bytes(8 * (end - start), "little")
-        words, starts = np.frombuffer(buf, "<u8"), np.array(ends[:-1], dtype=np.int64)
+        size = -(-self.n // 64)  # words per row
+        buf = bytearray(8 * size * len(tails))
+        for start, u in zip(range(0, len(buf), 8 * size), tails):
+            buf[start : start + 8 * size] = self._out[u].to_bytes(8 * size, "little")
+        words = np.frombuffer(buf, "<u8")
         at = np.flatnonzero(words)  # the nonzero words, unpacked to 64 bits each
-        row = np.searchsorted(starts, at, side="right") - 1  # each one's row, among tails
+        row, place = np.divmod(at, size)  # each one's row, among tails, and word in it
         heads = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
         word = heads >> 6  # each bit's word among the nonzero ones, then its tail
         heads &= 63  # in place, as each step below: three arrays of m at most
-        heads += (64 * (at - starts[row]))[word]
+        heads += (64 * place)[word]
         return np.take(np.array(tails, dtype=np.int64)[row], word, out=word), heads
 
     @property
@@ -328,22 +328,19 @@ class Digraph:
 
     # -- BFS layers ----------------------------------------------------------
 
-    def _layers(self, u: int, rows: tuple[int, ...]) -> list[int]:
-        """Bitsets of the exact-distance-k layers from u, k = 1, 2, ...."""
-        seen = 1 << u
-        frontier = 1 << u
-        layers: list[int] = []
-        while frontier:
+    def _layers(self, u: int, rows: Rows) -> Iterator[int]:
+        """Yield the bitsets of the exact-distance-k layers from u, k = 1, 2, ..., each
+        when it is asked for: a caller that stops reads no row past the layers it took."""
+        seen = layer = 1 << u
+        while True:
             nxt = 0
-            for v in _bits(frontier):
+            for v in _bits(layer):
                 nxt |= rows[v]
-            nxt &= ~seen
-            if not nxt:
-                break
-            layers.append(nxt)
-            seen |= nxt
-            frontier = nxt
-        return layers
+            layer = nxt & ~seen
+            if not layer:
+                return
+            yield layer
+            seen |= layer
 
     def kth_neighborhood(self, u: int, k: int, direction: str = "out") -> set[int]:
         """Vertices at directed distance exactly k from u (or to u, for "in")."""
@@ -353,10 +350,7 @@ class Digraph:
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         rows = self._out if direction == "out" else self._in
-        layers = self._layers(u, rows)
-        if k > len(layers):
-            return set()
-        return set(_bits(layers[k - 1]))
+        return set(_bits(next(islice(self._layers(u, rows), k - 1, None), 0)))  # stops at layer k
 
     def walkable_neighborhood(self, u: int) -> set[int]:
         """All vertices at finite directed distance from u, including u itself."""

@@ -30,7 +30,8 @@ in memory bounded by _BLOCK_CELLS whatever the graph.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Any
 
 import numpy as np
@@ -158,8 +159,9 @@ def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]
     applicable, start = False, 0
     while start < g.n:
         tails, heads, cols = _next_block(g, start)
-        block_anti, applies = _block(g, tails, _ascending(heads), _ascending(cols), first, edges)
-        anti += block_anti
+        at = _ascending(heads)  # unpacked once when C is H, as in every one-block graph
+        part, applies = _block(g, tails, at, at if cols == heads else _ascending(cols), first, edges)
+        anti += part
         applicable |= applies
         start = tails.stop
     return anti, (first, applicable)
@@ -167,8 +169,12 @@ def _block_pass(g: Digraph, edges: bool) -> tuple[list[int], tuple[_Found, bool]
 
 def _next_block(g: Digraph, start: int) -> tuple[range, int, int]:
     """The longest run U of tails from ``start`` with |U| * |C| at most
-    _BLOCK_CELLS, one tail at least, and the masks of its H and C."""
+    _BLOCK_CELLS, one tail at least, and the masks of its H and C.  From 0, a graph
+    with n * |every head| within the bound is one block, found without growth: with
+    U = V, H and C are every head, and |U| * |C| only grows along a run."""
     out, stop, heads, cols = g._out, start, 0, 0
+    if not start and g.n * (every := reduce(or_, out, 0)).bit_count() <= _BLOCK_CELLS:
+        return range(g.n), every, every
     while stop < g.n:
         row = out[stop]
         grown, new = cols | row, row & ~heads
@@ -208,15 +214,16 @@ def _block(
     rows, walks, either = stack[:size], stack[size : 2 * size], stack[2 * size : -1]
     rows[:] = g._adjacency(tails, cols)
     lone = None
-    if len(chunks) == 1:  # a lone chunk is unpacked once, or is A when H is U
-        lone = rows if np.array_equal(heads, tails) else g._adjacency(heads, cols).astype(np.float32)
+    if len(chunks) == 1:  # unpacked once, or A when H is U: H ascends and U is a run
+        same = len(heads) == size and heads[0] == tails[0] and heads[-1] == tails[-1]
+        lone = rows if same else g._adjacency(heads, cols).astype(np.float32)
 
     def rows_of(chunk: np.ndarray) -> np.ndarray:
         return lone if lone is not None else g._adjacency(chunk, cols).astype(np.float32)
 
     for chunk, places in chunks:
         walks += rows[:, places] @ rows_of(chunk)
-    degree = np.array([g._out[u].bit_count() for u in tails], dtype=np.float32)[:, None]
+    degree = rows.sum(axis=1, keepdims=True)  # C holds every head of U: exact below 2^24
     # W1 is walks > 0, and W1 minus N1 is N2
     anti = (degree[:, 0] - np.add.reduce(walks > g.n * rows, axis=1)).astype(int).tolist()
     if not edges:

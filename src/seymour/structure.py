@@ -13,12 +13,18 @@ from .digraph import Digraph, Edge, _bits, _two_walks
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    # the BFS layers from 0 are disjoint and exclude 0: they cover V iff n - 1 vertices
-    return all(
-        sum(layer.bit_count() for layer in g._layers(0, rows)) == g.n - 1
-        for rows in (g._out, g._in)
-    )
+    """True iff every ordered vertex pair is joined by a directed path.  The BFS layers
+    from 0, out and in, are disjoint and exclude 0, so each BFS stops once they hold
+    n - 1 vertices, without expanding the layer that completed them."""
+    for rows in (g._out, g._in):
+        left = g.n - 1
+        for layer in g._layers(0, rows):
+            left -= layer.bit_count()
+            if not left:
+                break
+        if left:
+            return False
+    return True
 
 
 def has_directed_cycle(g: Digraph) -> bool:

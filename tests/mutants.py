@@ -101,8 +101,8 @@ MUTANTS = (
     Mutant(
         "the edge reader's word rows off by one",
         "src/seymour/digraph.py",
-        'np.searchsorted(starts, at, side="right") - 1',
-        'np.searchsorted(starts, at, side="left") - 1',
+        "np.divmod(at, size)",
+        "np.divmod(at + 1, size)",
         ("tests/test_digraph.py::TestConstruction::test_cycle",),
     ),
     Mutant(
@@ -158,7 +158,38 @@ MUTANTS = (
         "src/seymour/filtering.py",
         "if stop > start and (stop + 1 - start) * grown.bit_count() > _BLOCK_CELLS:",
         "if stop > start:",
-        ("tests/test_filtering.py::test_a_graph_within_the_cell_bound_is_one_block",),
+        (
+            "tests/test_filtering.py::test_a_graph_within_the_cell_bound_is_one_block",
+            "tests/test_filtering.py::test_every_block_but_the_last_is_maximal",
+        ),
+    ),
+    Mutant(
+        "the one-block check ignoring the bound",
+        "src/seymour/filtering.py",
+        ".bit_count() <= _BLOCK_CELLS:",
+        ".bit_count() >= 0:",
+        ("tests/test_filtering.py::test_every_block_but_the_last_is_maximal",),
+    ),
+    Mutant(
+        "the block's degrees summed over the wrong rows",
+        "src/seymour/filtering.py",
+        "degree = rows.sum(axis=1, keepdims=True)",
+        "degree = rows[::-1].sum(axis=1, keepdims=True)",
+        ("tests/test_filtering.py::TestFacts::test_match_profiles_and_bit_walks",),
+    ),
+    Mutant(
+        "kth_neighborhood stops one layer early",
+        "src/seymour/digraph.py",
+        "islice(self._layers(u, rows), k - 1, None)",
+        "islice(self._layers(u, rows), max(k - 2, 0), None)",
+        ("tests/test_digraph.py::test_kth_layer_stops_reading_rows_at_layer_k",),
+    ),
+    Mutant(
+        "the connectivity BFS expands the layer that completed it",
+        "src/seymour/structure.py",
+        "            if not left:\n                break\n",
+        "            if not left:\n                pass\n",
+        ("tests/test_structure.py::test_connectivity_bfs_stops_once_its_layers_cover_v",),
     ),
     Mutant(
         "the triangle test's tail rows without their block's offset",

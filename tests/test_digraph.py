@@ -389,6 +389,24 @@ def test_unreachable_vertices_never_appear_in_layers():
     assert path.walkable_neighborhood(1) == {1}
 
 
+class _Reads(tuple):
+    """Rows that record the index of each row read."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_kth_layer_stops_reading_rows_at_layer_k():
+    path = Digraph(10, [(i, i + 1) for i in range(9)])
+    out = _Reads(path._out)
+    g = Digraph._from_rows(out, path._in)
+    for k, layer, read in ((1, {1}, [0]), (3, {3}, [0, 1, 2]), (12, set(), list(range(10)))):
+        out.read = []
+        assert g.kth_neighborhood(0, k) == layer  # k = 12 is past 0's eccentricity, 9
+        assert out.read == read
+
+
 def test_exact_semantics_beyond_64_vertices():
     n = 100
     big = Digraph(n, [(i, (i + 1) % n) for i in range(n)])

@@ -296,6 +296,12 @@ def test_a_graph_within_the_cell_bound_is_one_block(d):
     st.integers(0, 2**32 - 1),
     st.integers(1, 10_000),
 )
+# n * |C(V)| is 6,400 and 2,800: at the bound the graph is one block, found
+# without growth, and one cell below it the blocks grow
+@example(80, 0.1, 1, 6400)
+@example(80, 0.1, 1, 6399)
+@example(70, 0.02, 3, 2800)
+@example(70, 0.02, 3, 2799)
 def test_every_block_but_the_last_is_maximal(n, p, seed, cells):
     # H and C recomputed from sets: each block keeps |U| * |C| within the
     # bound (or is one tail), and one more tail would break it
@@ -444,6 +450,7 @@ def _check_facts(g):
 class TestFacts:
     @settings(max_examples=150, deadline=None)
     @given(digraphs())
+    @example(TT)  # out-degrees 2, 1, 0 in one block
     def test_match_profiles_and_bit_walks(self, g):
         _check_facts(g)
 

@@ -24,6 +24,25 @@ def test_strong_connectivity():
     assert is_strongly_connected(Digraph(1))
 
 
+class _Reads(tuple):
+    """Rows that record the index of each row read."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_connectivity_bfs_stops_once_its_layers_cover_v():
+    # a regular tournament on 7 vertices: from 0, layer 1 out is {1, 2, 3} and
+    # layer 1 in is {4, 5, 6}, and layer 2 holds the rest of V either way, so
+    # neither BFS expands its layer 2
+    t = Digraph(7, [(i, (i + s) % 7) for i in range(7) for s in (1, 2, 3)])
+    out, inn = _Reads(t._out), _Reads(t._in)
+    out.read, inn.read = [], []
+    assert is_strongly_connected(Digraph._from_rows(out, inn))
+    assert (sorted(out.read), sorted(inn.read)) == ([0, 1, 2, 3], [0, 4, 5, 6])
+
+
 @settings(max_examples=120, deadline=None)
 @given(digraphs())
 def test_strong_connectivity_matches_oracle(g):
