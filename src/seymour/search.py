@@ -24,9 +24,9 @@ screen leaves open.  Only the (expected zero) graphs without one become Digraphs
 
 Randomness is implementation-pinned: sample i draws from numpy's
 Generator(PCG64(SeedSequence((seed, i)))), so serial and parallel runs agree.
-SeedSequence's hash is fixed integer arithmetic, run over a whole chunk's
-entropy words at once; numpy's own PCG64 seeds each sample from its row of
-the result, and each sample gets a Generator of its own.
+SeedSequence's hash is fixed integer arithmetic with constants that do not
+depend on the data, run over a chunk's entropy words at once as a few stacked
+passes; numpy's own PCG64 seeds each sample's Generator from its row of words.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ import multiprocessing
 import operator
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -281,18 +281,20 @@ def _entropy_words(entropy: SeedLike) -> list[int]:
     return [value >> shift & _MASK32 for shift in range(0, max(1, value.bit_length()), 32)]
 
 
-def _hashmix(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """SeedSequence's hashmix on uint32 arrays.  Its constant does not depend
-    on the data: it starts at const and each call multiplies it by mult."""
+@functools.cache
+def _hash_constants(const: int, mult: int, calls: int) -> tuple[np.ndarray, ...]:
+    """The constants of `calls` successive SeedSequence hashmixes, as (calls, 1) uint32
+    columns: call k XORs by const * mult^k, then multiplies by const * mult^(k + 1)."""
+    consts = itertools.accumulate(range(calls), lambda c, _: c * mult & _MASK32, initial=const)
+    column = np.array(list(consts), dtype=np.uint32)[:, None]
+    return _frozen(column[:-1], column[1:])
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
 
-    return hashmix
+def _hashmix(value: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of (k, B) or (B,) uint32 values by k calls' constants."""
+    value = value ^ xors
+    value *= mults
+    return value ^ value >> np.uint32(16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -301,32 +303,37 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed ^ mixed >> np.uint32(16)
 
 
-@dataclass(frozen=True)
 class _Seed:
     """numpy's ISeedSequence over a row of SeedSequence.generate_state(4, np.uint64)."""
 
-    words: np.ndarray
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
 
     def generate_state(self, n_words: int, dtype: type = np.uint64) -> np.ndarray:
         return self.words
 
 
-def _seeded(entropies: list[list[int]]) -> Iterator[np.random.Generator]:
-    """numpy's Generator(PCG64(SeedSequence(e))) for the entropy words e of each
-    row of a rectangular list: the SeedSequence hash runs over all rows at once."""
+def _seeded(entropies: np.ndarray | list[list[int]]) -> Iterator[np.random.Generator]:
+    """numpy's Generator(PCG64(SeedSequence(e))) for the entropy words e of each row:
+    the SeedSequence hash runs over all rows at once, each step's calls stacked."""
     from numpy.random.bit_generator import ISeedSequence  # loads numpy.random: not at import
     ISeedSequence.register(_Seed)
-    words = np.array(entropies, dtype=np.uint32)
-    rows, size = words.shape
-    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # mix_entropy into a pool of 4 words
-    pool = [hashmix(words[:, i] if i < size else np.zeros(rows, np.uint32)) for i in range(4)]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, size):
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
-    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)  # generate_state(4, np.uint64)
-    seeds = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8")
+    words = np.asarray(entropies, dtype=np.uint32).T  # (size, B): one row per word
+    size, rows = words.shape
+    xors, mults = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, size - 4))
+    pool = np.zeros((4, rows), dtype=np.uint32)  # mix_entropy into a pool of 4 words
+    pool[:size] = words[:4]
+    pool = _hashmix(pool, xors[:4], mults[:4])
+    for src in range(4):  # pool[src] holds through its round
+        dst, k = [i for i in range(4) if i != src], 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xors[k : k + 3], mults[k : k + 3]))
+    for k, word in zip(range(16, len(xors), 4), words[4:]):  # each past the fourth, into all 4
+        pool = _mix(pool, _hashmix(word, xors[k : k + 4], mults[k : k + 4]))
+    xors, mults = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state(4, np.uint64)
+    state = _hashmix(np.concatenate([pool, pool]), xors, mults)
+    seeds = np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
     for words in seeds.astype(np.uint64):  # native order: PCG64 reads the words' memory
         yield np.random.Generator(np.random.PCG64(_Seed(words)))
 
@@ -372,17 +379,18 @@ def _has_transitive_triangle(adj: np.ndarray) -> bool:
 
 
 def _draw_adjacency(
-    model: str, n: int, p: float | None, entropies: list[list[int]], max_retries: int
+    model: str, n: int, p: float | None, entropies: np.ndarray | list[list[int]], max_retries: int
 ) -> np.ndarray:
     """The (B, n, n) bool stack of graphs of a checked model in RANDOM_MODELS (tournaments
-    ignore p), graph b from the generator _seeded gives for entropies[b]: it compares its pair
-    uniforms, a block at a time in one reused buffer, into its own rows of bits for _place."""
+    ignore p), graph b from the generator _seeded gives for entropies[b]: steps compare its
+    uniforms in order, a block at a time in one reused buffer, into its rows of bits for _place."""
     pairs, uniforms = pair_count(n), np.empty(min(pair_count(n), _DRAW_PAIRS))
-    starts = range(0, pairs, _DRAW_PAIRS)  # Generator.random fills in order
-    blocks = [(slice(i, i + _DRAW_PAIRS), uniforms[: pairs - i]) for i in starts]
     thresholds = {"tournament": [0.5], "acyclic": [p]}.get(model, [p, 0.5])  # present, forward
     bits = np.empty((len(thresholds), len(entropies), pairs), dtype=bool)
     adj, orders = np.zeros((len(entropies), n, n), dtype=bool), np.empty((len(entropies), n), int)
+    steps = [(threshold, rows[:, i : i + _DRAW_PAIRS], uniforms[: pairs - i])  # a sample's draws
+             for threshold, rows in zip(thresholds, bits) for i in range(0, pairs, _DRAW_PAIRS)]
+    tries = range(max_retries if model == "triangle_free" else 1)  # until triangle-free
 
     def orient(rows: slice) -> np.ndarray:  # u -> v if present and forward, v -> u if only present
         a, (present, forward) = adj[rows], bits[:, rows]
@@ -393,10 +401,9 @@ def _draw_adjacency(
     for i, rng in enumerate(_seeded(entropies)):
         if model == "acyclic":  # order[i] -> order[j] for kept pairs i < j
             orders[i] = np.argsort(rng.random(n), kind="stable")
-        for _ in range(max_retries if model == "triangle_free" else 1):  # until triangle-free
-            for k, threshold in enumerate(thresholds):
-                for cut, block in blocks:
-                    np.less(rng.random(out=block), threshold, out=bits[k, i, cut])
+        for _ in tries:
+            for threshold, out, block in steps:
+                np.less(rng.random(out=block), threshold, out=out[i])
             if model != "triangle_free" or not _has_transitive_triangle(orient(slice(i, i + 1))[0]):
                 break
         else:
@@ -406,7 +413,7 @@ def _draw_adjacency(
         _place(adj.swapaxes(1, 2), np.logical_not(bits[0], out=bits[0]))
     elif model == "acyclic":
         _place(adj, bits[0])
-        del bits  # not held through the relabelling
+        bits = steps = out = None  # nor their views: none is held through the relabelling
         for a, place in zip(adj, orders.argsort(axis=1)):  # place[v]: v's place in order
             np.take(a.take(place, axis=0), place, axis=1, out=a, mode="wrap")  # "raise" buffers out
     elif model == "digon_free":  # triangle_free placed each sample as it tested it
@@ -560,7 +567,8 @@ def _search_chunk(task: tuple[SearchSpec, int, int]) -> _ChunkResult:
         candidates, rows = _chunk_candidates(spec.n, prefixes)
     else:
         seed = _entropy_words(spec.seed)  # and each index is one word: see MAX_RANDOM_COUNT
-        entropies = [seed + [i] for i in range(start, stop)]
+        entropies = np.empty((stop - start, len(seed) + 1), dtype=np.uint32)
+        entropies[:, :-1], entropies[:, -1] = seed, np.arange(start, stop)
         rows = _packed_rows(  # the stack is not held through the verdict
             _draw_adjacency(spec.model, spec.n, spec.p, entropies, spec.max_retries)
         )

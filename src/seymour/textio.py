@@ -124,10 +124,12 @@ def write_digraph(g: Digraph) -> str:
     places = len(str(g.n - 1))
     text = np.zeros((len(ends), places + 1), dtype=np.uint8)
     text[0::2, places], text[1::2, places] = ord(" "), ord("\n")  # tail, head, tail, ...
-    shown = True  # the ones digit always shows, a higher one while the quotient is above 0
-    for place in range(places - 1, -1, -1):
-        ends, digit = np.divmod(ends, np.uint32(10))
-        text[:, place] = (digit + ord("0")) * shown
+    digit, shown = np.empty_like(ends), True  # the ones digit always shows, a higher one
+    for place in range(places - 1, -1, -1):  # while the quotient is above 0
+        np.divmod(ends, np.uint32(10), out=(ends, digit))
+        digit += np.uint32(ord("0"))
+        text[:, place] = np.multiply(digit, shown, out=digit)
         shown = ends > 0
+    del ends, digit, shown  # not held through the mask
     flat = text.ravel()
     return f"{g.n} {len(text) // 2}\n" + str(flat[flat > 0], "ascii")

@@ -37,6 +37,11 @@ class Mutant(NamedTuple):
     selection: tuple[str, ...]  # pytest arguments: node ids, -k expressions
 
 
+SEEDING = (
+    "tests/test_search.py::test_seeding_matches_numpy",
+    "tests/test_search.py::test_seeding_a_batch_matches_seeding_each_row",
+)
+
 MUTANTS = (
     Mutant(
         "verdict n1 <= n2 -> n1 < n2",
@@ -204,6 +209,20 @@ MUTANTS = (
         "np.random.PCG64(_Seed(words))",
         "np.random.PCG64(_Seed(words[::-1].copy()))",
         ("tests/test_search.py::test_seeding_matches_numpy",),
+    ),
+    Mutant(
+        "the stacked hash's constants for the words past the fourth misaligned",
+        "src/seymour/search.py",
+        "zip(range(16, len(xors), 4), words[4:])",
+        "zip(range(12, len(xors), 4), words[4:])",
+        SEEDING,
+    ),
+    Mutant(
+        "the generate_state constants started one call late",
+        "src/seymour/search.py",
+        "xors, mults = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)",
+        "xors, mults = (c[1:] for c in _hash_constants(0x8B51F9DD, 0x58F38DED, 9))",
+        SEEDING,
     ),
     Mutant(
         "condition 3's shortfall without the two-walk mask",

@@ -1136,6 +1136,8 @@ ENTROPY_INT = st.integers(0, 2**130 - 1)  # up to five words, so tuples reach th
 @example(2**32)
 @example(2**64)
 @example(())
+@example((2**32 - 1,) * 4)  # the last entropy word that the pool takes in directly
+@example(2**128)  # the first word past the fourth: one pass mixes it into all four
 def test_seeding_matches_numpy(entropy):
     rng = next(search._seeded([search._entropy_words(entropy)]))
     expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

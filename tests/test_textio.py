@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seymour import Digraph, enumerate_digon_free, parse_digraph, write_digraph
+from seymour import Digraph, enumerate_digon_free, parse_digraph, random_tournament, write_digraph
 from seymour.errors import (
     CountMismatch,
     DigonPair,
@@ -115,6 +117,21 @@ class TestWrite:
         g = Digraph(MAX_VERTICES, edges)
         assert write_digraph(g) == oracles.write_digraph(g)
         assert "\n100000 131071\n131071 0\n" in write_digraph(g)
+
+    def test_a_large_document_drops_its_digit_arrays_before_the_mask(self):
+        g = random_tournament(1024, 1)  # 523,776 edges: a field of 5 bytes per end
+        write_digraph(Digraph(1))  # first-call allocations
+        tracemalloc.start()
+        try:
+            text = write_digraph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 4_102_242
+        # 5.0 MiB of text bytes, their 5.0 MiB mask and 3.9 MiB of kept bytes; the
+        # last digit pass's uint32 quotient, digit and bool shown arrays (4 MiB,
+        # 4 MiB and 1 MiB) held through the mask peaked at 22.9 MiB
+        assert peak < 17 * 2**20
 
 
 @st.composite
