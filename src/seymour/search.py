@@ -12,8 +12,10 @@ is a run of 27 prefixes, the pairs touching the first n - 5 vertices, each
 under all 3^10 graphs on the last five, whose rows are tabled once per n.  The
 task decodes and gates its prefixes together.  A digon-free prefix needs each
 suffix vertex to reach out-degree 2 in those five; the suffix graphs that do
-are cached per vector of needs (3^5 of them), and only they, ORed with their
-prefix, reach the task's one verdict.  Each sample of a random chunk compares
+are cached per vector of needs (3^5 of them) as (n, K) columns, one row per
+vertex.  Only they reach the task's one verdict: each live prefix is ORed into
+its columns straight into the verdict's per-vertex batch, and offsets are built
+only for what the verdict finds.  Each sample of a random chunk compares
 its uniforms, a bounded block at a time in one reused buffer, into its own row
 of pair bits; one pass over the vertices places the chunk's rows into one
 stack, packed once.  Past one byte a row the verdict first screens each
@@ -172,33 +174,32 @@ def _no_satisfactory_vertex(rows: np.ndarray) -> np.ndarray:
     vertex has |N1| <= |N2|.  Must agree with Digraph.profile.  Past one byte
     a row, only the graphs whose least-out-degree vertex is not satisfactory
     go on to the pass over every vertex: one satisfactory vertex settles it."""
-    if len(rows) > _VERDICT_ROWS:  # 300,000 graphs at once cost 2.6x as much per graph
-        blocks = range(0, len(rows), _VERDICT_ROWS)
-        return np.concatenate([_no_satisfactory_vertex(rows[i : i + _VERDICT_ROWS]) for i in blocks])
     if not len(rows):
         return np.zeros(0, dtype=bool)
     n = rows.shape[1]
     rows = rows.reshape(len(rows), n, -1)
+    cols = rows.transpose(1, 0, 2)  # (n, N, W): per vertex, as the verdict reads them
     if n <= _ROW_WIDTH:  # the exhaustive kernel's rows: there the screen costs more than it saves
-        return _every_vertex_unsatisfactory(rows)
+        return _every_vertex_unsatisfactory(cols.copy())
     found = ~_least_degree_satisfactory(rows)
     if found.any():
-        found[found] = _every_vertex_unsatisfactory(rows[found])
+        found[found] = _every_vertex_unsatisfactory(cols[:, found].copy())
     return found
 
 
-def _every_vertex_unsatisfactory(rows: np.ndarray) -> np.ndarray:
-    """The verdict of _no_satisfactory_vertex on a nonempty (N, n, W) batch,
-    from N2 of every vertex."""
-    n = rows.shape[1]
-    cols = rows.transpose(1, 0, 2).copy()  # (n, N, W): per vertex
+def _every_vertex_unsatisfactory(cols: np.ndarray) -> np.ndarray:
+    """The verdict of _no_satisfactory_vertex on an (n, N, W) batch laid out
+    per vertex, from N2 of every vertex, _VERDICT_ROWS graphs at a time."""
+    n, found = len(cols), np.zeros(cols.shape[1], dtype=bool)
     count = np.min_scalar_type(n)  # holds any popcount; wider sums cost time
-    n1 = _row_counts(cols, count)
-    reach = _two_step(cols)
-    reach &= ~(cols | _own_bits(n))  # N2 leaves out N1 and u itself
-    del cols  # not held through the N2 popcount
-    n2 = _row_counts(reach, count)
-    return ~(n1 <= n2).any(axis=0)
+    for start in range(0, cols.shape[1], _VERDICT_ROWS):
+        block = cols[:, start : start + _VERDICT_ROWS]  # 300,000 at once cost 2.6x a graph
+        n1 = _row_counts(block, count)
+        reach = _two_step(block)
+        reach &= ~(block | _own_bits(n))  # N2 leaves out N1 and u itself
+        n2 = _row_counts(reach, count)
+        found[start : start + _VERDICT_ROWS] = ~(n1 <= n2).any(axis=0)
+    return found
 
 
 @functools.cache
@@ -211,10 +212,11 @@ def _suffix_rows(n: int) -> np.ndarray:
 @functools.cache
 def _kept_suffix(n: int, need: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Offsets of the suffix graphs of _suffix_rows(n) in which suffix vertex i
-    has out-degree >= need[i], and their (K, n) rows; cached per n and need."""
+    has out-degree >= need[i], and their rows as (n, K) columns, one row per
+    vertex as the verdict reads them; cached per n and need."""
     rows = _suffix_rows(n)
     keep = np.flatnonzero((_popcount(rows[:, -len(need) :]) >= np.array(need)).all(axis=1))
-    return _frozen(keep, rows[keep])
+    return _frozen(keep, np.ascontiguousarray(rows[keep].T))
 
 
 def _kept_columns(n: int, adj: np.ndarray) -> dict[int, tuple[np.ndarray, ...]]:
@@ -236,19 +238,21 @@ def _chunk_candidates(n: int, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Offsets b * 3^10 + s and rows of the graphs prefixes[b] | S with no
     satisfactory vertex, S the suffix graph at offset s of _suffix_rows(n); a
     prefix holds the rows of the pairs touching F, the first n - 5 vertices (an
-    (n,) one is a stack of one).  Only the S _kept_columns keeps reach the verdict."""
+    (n,) one is a stack of one).  Only the S _kept_columns keeps reach the verdict:
+    each live prefix is ORed into its cached columns, written straight into one
+    (n, N, 1) batch laid out per vertex."""
     prefixes = prefixes.reshape(-1, n)
     adj = np.unpackbits(prefixes[:, :, None], axis=2, count=n, bitorder="little").view(bool)
     kept = _kept_columns(n, adj)
-    live, sizes = list(kept), [len(keep) for keep, _ in kept.values()]
-    if not sum(sizes):  # every graph of the task has a satisfactory vertex
+    stops = list(itertools.accumulate((len(keep) for keep, _ in kept.values()), initial=0))
+    cols = np.empty((n, stops[-1], 1), dtype=np.uint8)
+    for start, stop, (b, (_, columns)) in zip(stops, stops[1:], kept.items()):
+        np.bitwise_or(columns, prefixes[b][:, None], out=cols[:, start:stop, 0])
+    found = np.flatnonzero(_every_vertex_unsatisfactory(cols))
+    if not len(found):  # the usual case: no offsets are built
         return np.zeros(0, dtype=np.intp), prefixes[:0]
-    offsets = np.concatenate([keep for keep, _ in kept.values()])  # copies of the
-    rows = np.concatenate([rows for _, rows in kept.values()])  # read-only cache
-    offsets += np.repeat(np.array(live) * _EXHAUSTIVE_CHUNK, sizes)
-    rows |= np.repeat(prefixes[live], sizes, axis=0)
-    found = _no_satisfactory_vertex(rows)
-    return offsets[found], rows[found]
+    offsets = np.concatenate([keep + b * _EXHAUSTIVE_CHUNK for b, (keep, _) in kept.items()])
+    return offsets[found], cols[:, found, 0].T.copy()
 
 
 def graph_at_index(n: int, index: int) -> Digraph:

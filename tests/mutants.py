@@ -37,6 +37,11 @@ class Mutant(NamedTuple):
     selection: tuple[str, ...]  # pytest arguments: node ids, -k expressions
 
 
+DEGREE_COUNT = (
+    "tests/test_search.py::TestDegreeLemma::"
+    "test_the_verdict_sees_each_graph_of_least_out_degree_two_once",
+)
+
 SEEDING = (
     "tests/test_search.py::test_seeding_matches_numpy",
     "tests/test_search.py::test_seeding_a_batch_matches_seeding_each_row",
@@ -46,15 +51,15 @@ MUTANTS = (
     Mutant(
         "verdict n1 <= n2 -> n1 < n2",
         "src/seymour/search.py",
-        "return ~(n1 <= n2).any(axis=0)",
-        "return ~(n1 < n2).any(axis=0)",
+        "= ~(n1 <= n2).any(axis=0)",
+        "= ~(n1 < n2).any(axis=0)",
         ("tests/test_search.py::TestVectorizedConditionZero",),
     ),
     Mutant(
         "a verdict that always answers none",
         "src/seymour/search.py",
-        "return ~(n1 <= n2).any(axis=0)",
-        "return np.zeros(n1.shape[1], dtype=bool)",
+        "= ~(n1 <= n2).any(axis=0)",
+        "= False",
         ("tests/test_search.py::TestPackedRowKernel",),  # real small graphs never tell
     ),
     Mutant(
@@ -65,6 +70,40 @@ MUTANTS = (
         "(degrees[:, :f] <= 0).any(axis=1)  # a vertex of F decides it\n"
         "    need = np.where(digon[:, None], 0, np.maximum(0, 1 - degrees[:, f:])).tolist()",
         ("tests/test_search.py", "-k", "test_kept_columns_match_the_oracle_on_whole_small_spaces"),
+    ),
+    Mutant(
+        "a prefix ORed into its columns one to the right",
+        "src/seymour/search.py",
+        "out=cols[:, start:stop, 0]",
+        "out=cols[:, start + 1 : stop + 1, 0]",
+        DEGREE_COUNT,
+    ),
+    Mutant(
+        "the columns of prefix b ORed with prefix b - 1",
+        "src/seymour/search.py",
+        "np.bitwise_or(columns, prefixes[b][:, None]",
+        "np.bitwise_or(columns, prefixes[b - 1][:, None]",
+        (
+            "tests/test_search.py::TestPrefixFactoredKernel::"
+            "test_a_stack_finds_what_its_prefixes_find_one_by_one",
+        ),
+    ),
+    Mutant(
+        "the found offsets without their prefix's b * 3^10",
+        "src/seymour/search.py",
+        "[keep + b * _EXHAUSTIVE_CHUNK for b, (keep, _) in kept.items()]",
+        "[keep for b, (keep, _) in kept.items()]",
+        (
+            "tests/test_search.py::TestPrefixFactoredKernel::"
+            "test_a_stack_finds_what_its_prefixes_find_one_by_one",
+        ),
+    ),
+    Mutant(
+        "the kept suffix graphs without their first",
+        "src/seymour/search.py",
+        ">= np.array(need)).all(axis=1))",
+        ">= np.array(need)).all(axis=1))[1:]",
+        DEGREE_COUNT,  # the zero-found sweeps cannot see a dropped graph
     ),
     Mutant(
         "condition 5's two witness counts swapped",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -182,6 +182,23 @@ def digon_free_edges_at(n, index):
         index, digit = divmod(index, 3)
         digits.append(digit)
     return _edges_from_states(pairs, reversed(digits))
+
+
+def count_min_out_degree(n, k):
+    """The number of labeled digon-free digraphs on n vertices whose every
+    vertex has out-degree >= k: a DP over the vertex pairs, one at a time,
+    whose state is the out-degree vector capped at k."""
+    counts = Counter({(0,) * n: 1})
+    for pair in itertools.combinations(range(n), 2):
+        step = Counter()
+        for degrees, ways in counts.items():
+            step[degrees] += ways  # the pair absent
+            for tail in pair:  # or oriented out of either end
+                raised = list(degrees)
+                raised[tail] = min(k, raised[tail] + 1)
+                step[tuple(raised)] += ways
+        counts = step
+    return counts[(k,) * n]
 
 
 # -- the seven minimal-counterexample conditions, straight restatements -------

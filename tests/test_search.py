@@ -422,6 +422,22 @@ def test_verdict_blocks_do_not_change_its_answer(monkeypatch):
         assert np.array_equal(_no_satisfactory_vertex(rows), whole), block
 
 
+def test_verdict_blocks_do_not_change_a_chunks_candidates(monkeypatch):
+    # the chunk's one per-vertex batch, split into column blocks: 59,049 kept
+    # columns for the joined prefix, and three prefixes' worth in one stack, so
+    # 1,000-column blocks also cross from one prefix's columns into the next
+    prefix = joined_prefix(8)
+    stack = np.stack([prefix, digon_prefix(np.random.default_rng(8), 8), prefix])
+    whole, stacked = _chunk_candidates(8, prefix), _chunk_candidates(8, stack)
+    assert len(whole[0]) == 16_168
+    for block in (1_000, len(suffix_rows(8))):
+        monkeypatch.setattr(search, "_VERDICT_ROWS", block)
+        assert np.array_equal(np.flatnonzero(chunk_mask(8, prefix)), whole[0]), block
+        again = _chunk_candidates(8, prefix) + _chunk_candidates(8, stack)
+        for expected, got in zip(whole + stacked, again):
+            assert np.array_equal(got, expected), block
+
+
 def digon_prefix(rng, n):
     """Random prefix rows with a digon 0 <-> v: the suffix vertices' prefix
     rows point only into F, the others anywhere."""
@@ -515,9 +531,41 @@ class TestDegreeLemma:
         assert len(planted) == 24
         dropped = planted[::2]
         keep = np.setdiff1d(np.arange(suffix_size(6)), dropped)
-        columns = (keep, suffix_rows(6)[keep])
+        columns = (keep, suffix_rows(6)[keep].T)  # (n, K): one row per vertex, as cached
         monkeypatch.setattr(search, "_kept_columns", lambda n, adj: {0: columns})
         assert np.flatnonzero(chunk_mask(6, prefix)).tolist() == planted[1::2].tolist()
+
+    def test_the_degree_count_oracle(self):
+        # the pair DP against brute force where that is cheap, then the
+        # counts no brute force here reaches: no 6-vertex graph has 18 edges
+        # on 15 pairs, and the 7-vertex ones are the 2,640 labelled regular
+        # tournaments (OEIS A007079)
+        for n, k in itertools.product(range(1, 5), range(4)):
+            edge_lists = oracles.all_digon_free_edge_lists(n)
+            expected = sum(oracles.min_out_degree(n, edges) >= k for edges in edge_lists)
+            assert oracles.count_min_out_degree(n, k) == expected, (n, k)
+        assert oracles.count_min_out_degree(5, 2) == 24
+        assert oracles.count_min_out_degree(6, 3) == 0
+        assert oracles.count_min_out_degree(7, 3) == 2_640
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_the_verdict_sees_each_graph_of_least_out_degree_two_once(self, n, monkeypatch):
+        # the columns the chunks hand the verdict over a whole space are its
+        # graphs of least out-degree >= 2, as many as the pair DP counts (24
+        # at n = 5, 69,294 at n = 6), all distinct: an assembly that dropped
+        # or repeated columns would pass every sweep, since none finds any
+        batches, real = [], search._every_vertex_unsatisfactory
+        monkeypatch.setattr(
+            search, "_every_vertex_unsatisfactory", lambda cols: batches.append(cols) or real(cols)
+        )
+        assert run_search(SearchSpec(mode="exhaustive", n=n)).counterexamples_found == 0
+        assert {(len(cols), cols.shape[2]) for cols in batches} == {(n, 1)}
+        graphs = np.concatenate([cols[:, :, 0].T for cols in batches])
+        assert len(graphs) == oracles.count_min_out_degree(n, 2)
+        assert len(np.unique(graphs, axis=0)) == len(graphs)
+        adj = np.unpackbits(graphs[:, :, None], axis=2, count=n, bitorder="little")
+        assert not (adj & adj.transpose(0, 2, 1)).any()
+        assert (adj.sum(axis=2) >= 2).all()
 
     @pytest.mark.parametrize("n, tasks", [(6, None), (7, 3), (8, 2)])
     def test_a_stack_of_prefixes_is_gated_as_each_one_alone(self, n, tasks):
@@ -559,9 +607,9 @@ def fresh_need_cache():
 
 @pytest.mark.usefixtures("fresh_need_cache")
 class TestNeedCache:
-    """_kept_suffix holds the kept offsets and rows once per n and need, the
-    least out-degree in S of each suffix vertex; _kept_columns maps a prefix
-    to it."""
+    """_kept_suffix holds the kept offsets and their (n, K) columns once per n
+    and need, the least out-degree in S of each suffix vertex; _kept_columns
+    maps a prefix to it."""
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_every_need_equals_the_uncached_selection_and_gather(self, n):
@@ -572,7 +620,7 @@ class TestNeedCache:
             cached = _kept_suffix(n, need)
             assert _kept_suffix(n, need) is cached
             assert len(cached) == 2 and np.array_equal(cached[0], keep), need
-            assert np.array_equal(cached[1], rows[keep]), need
+            assert cached[1].flags.c_contiguous and np.array_equal(cached[1].T, rows[keep]), need
         assert len(_kept_suffix(n, (0,) * 5)[0]) == suffix_size(n)
         assert _kept_suffix.cache_info().currsize == len(NEEDS)
 
@@ -581,8 +629,8 @@ class TestNeedCache:
             first = [_kept_suffix(n, need) for n in (6, 7, 8)]
             for n, cached in zip((6, 7, 8), first):
                 assert cached is _kept_suffix(n, need)
-                assert cached[1].shape == (len(cached[0]), n)
-                assert np.array_equal(cached[1], suffix_rows(n)[cached[0]])
+                assert cached[1].shape == (n, len(cached[0]))
+                assert np.array_equal(cached[1].T, suffix_rows(n)[cached[0]])
 
     def test_cached_arrays_are_read_only(self):
         for n, need in [(1, (2,)), (4, (0, 1, 2, 0)), (6, (1, 2, 1, 2, 2)), (8, (0,) * 5)]:
@@ -624,6 +672,26 @@ class TestNeedCache:
         prefixes = [joined_prefix(n), digon_prefix(np.random.default_rng(n), n)]
         kept = _kept_columns(n, matrices(prefixes))
         assert [cached is _kept_suffix(n, (0,) * 5) for cached in kept.values()] == [True] * 2
+
+
+@pytest.mark.usefixtures("fresh_need_cache")
+def test_a_live_n8_task_holds_one_per_vertex_batch():
+    # the 39th of the 40 tasks np.random.default_rng(8) draws: 27 live prefixes
+    # and 468,595 kept columns, 3.6 MiB as one (8, N, 1) uint8 batch.  Stacking
+    # them as (N, 8) rows, copying those into columns and shifting N int64
+    # offsets peaked at 10.7 MiB
+    step = _TASK_PREFIXES * _EXHAUSTIVE_CHUNK
+    k = np.random.default_rng(8).integers(0, space_size(8) // step, 40).tolist()[38]
+    task = (SearchSpec(mode="exhaustive", n=8, ceiling=8), k * step, (k + 1) * step)
+    search._search_chunk(task)  # fills the need cache, which stays
+    tracemalloc.start()
+    try:
+        result = search._search_chunk(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.examined, result.counterexamples) == (step, 0)
+    assert peak < 7 * 2**20
 
 
 def test_a_chunk_without_candidates_decodes_only_its_prefix(monkeypatch):
