@@ -24,8 +24,9 @@ checks last) so reports are reproducible.
 
 The checks share per-graph facts (_Facts): anti-satisfaction, and the first
 failing edge of conditions 3-5.  One pass of float32 matrix products, exact as every count
-is below n <= digraph.MAX_VERTICES < 2^24, over blocks of tails gives them (_block_pass),
-in memory bounded by _BLOCK_CELLS whatever the graph.
+is below n <= digraph.MAX_VERTICES < 2^24, over blocks of tails gives them (_block_pass).
+Its float32 operands stay within a few _BLOCK_CELLS, but the bool unpack of a block's rows
+takes |U| * span(C) bytes: over 230 MiB at n = 2^17 with 2,048 random edges (ROADMAP.md item 16).
 """
 from __future__ import annotations
 

@@ -236,10 +236,10 @@ MUTANTS = (
         ("tests/test_structure.py::test_connectivity_bfs_stops_once_its_layers_cover_v",),
     ),
     Mutant(
-        "the triangle test's tail rows without their block's offset",
+        "the triangle test skips each tail's lowest head",
         "src/seymour/search.py",
-        "rows[start + tails[i : i + step]]",
-        "rows[tails[i : i + step]]",
+        "for v in _bits(row))",
+        "for v in _bits(row & row - 1))",
         ("tests/test_search.py::test_matrix_triangle_test_matches_the_oracle",),
     ),
     Mutant(

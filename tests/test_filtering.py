@@ -13,7 +13,10 @@ from seymour import (
     check_condition,
     diamond_base_targets,
     has_directed_cycle,
+    is_strongly_connected,
     parse_digraph,
+    predicted_profile,
+    random_digon_free,
     run_filter,
     triangle_base_count,
 )
@@ -287,6 +290,21 @@ def test_a_graph_within_the_cell_bound_is_one_block(d):
     product, _ = build_product(_regular_tournament(d), _cycle(5))
     assert product.n * product.n <= filtering._BLOCK_CELLS
     assert filtering._next_block(product, 0)[0].stop == product.n
+
+
+def test_a_split_block_pass_matches_the_products_predicted_profiles():
+    # D x C5 on 1,000 vertices and 149,800 edges is 32 blocks at the real cell
+    # bound; the paper's product fixes every vertex's anti-satisfaction from
+    # the factors' profiles, and strong connectivity from D's
+    d, h = random_digon_free(200, 0.3, 3), _cycle(5)
+    product, labeling = build_product(d, h)
+    assert (product.n, product.m) == (1000, 149_800)
+    assert filtering._next_block(product, 0)[0].stop < product.n
+    anti = filtering._Facts(product).anti
+    for v in range(product.n):
+        expected = predicted_profile(d, h, *labeling.decode(v)).anti_satisfaction
+        assert anti[v] == expected, f"vertex {v}"
+    assert is_strongly_connected(product) == is_strongly_connected(d)
 
 
 @settings(max_examples=25, deadline=None)
